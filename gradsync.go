@@ -89,7 +89,6 @@ func New(cfg Config) (*Network, error) {
 	}
 
 	// Algorithm shell first (the oracle estimate layer reads its clocks).
-	var logical func(u int) float64
 	switch cfg.Algorithm.kind {
 	case "aopt":
 		// constructed below, after GTilde derivation
@@ -105,7 +104,7 @@ func New(cfg Config) (*Network, error) {
 	default:
 		return nil, fmt.Errorf("gradsync: unknown algorithm %q", cfg.Algorithm.kind)
 	}
-	logical = func(u int) float64 { return net.algo.Logical(u) }
+	logical := func(u int) float64 { return net.algo.Logical(u) }
 
 	// Estimate layer.
 	switch cfg.Estimates.kind {
@@ -124,7 +123,7 @@ func New(cfg Config) (*Network, error) {
 		if err != nil {
 			return nil, err
 		}
-		rt.SetEstimator(estimate.NewOracle(rt.Dyn, func(u int) float64 { return logical(u) }, policy))
+		rt.SetEstimator(estimate.NewOracle(rt.Dyn, logical, policy))
 	}
 
 	// Effective uncertainty and edge weight (uniform links).

@@ -204,10 +204,11 @@ func (o *Oracle) SetPolicy(p ErrorPolicy) { o.policy = p }
 
 // Estimate implements Layer.
 func (o *Oracle) Estimate(u, v int) (float64, bool) {
-	if !o.dyn.Sees(u, v) {
+	_, p, sees, _ := o.dyn.Link(u, v)
+	if !sees {
 		return 0, false
 	}
-	eps := o.Eps(u, v)
+	eps := p.Eps
 	trueU, trueV := o.clock(u), o.clock(v)
 	err := o.policy.Err(u, v, trueU, trueV, eps)
 	if err > eps {

@@ -10,8 +10,8 @@ import (
 )
 
 // BenchmarkMessagingInvalidate pins the sparse-invalidation contract of the
-// EdgeDown path: dropping one directed sample must cost a single map probe —
-// O(1) in the network size (the ns/op column must stay flat as N grows
+// EdgeDown path: dropping one directed sample must cost a single adjacency-row
+// probe — O(1) in the network size (the ns/op column must stay flat as N grows
 // 100 → 100k) — and allocate nothing. This is the operation churn waves and
 // partitions hammer once per lost directed edge.
 func BenchmarkMessagingInvalidate(b *testing.B) {
@@ -25,8 +25,8 @@ func BenchmarkMessagingInvalidate(b *testing.B) {
 			})
 			// Ring samples: every node holds beacons from both neighbors, so
 			// the invalidated node's row has the degree the scale tiers see.
-			// Links must be declared first — the flat layout registers its
-			// sample slots at declare time and drops beacons on undeclared
+			// Links must be declared first — the flat layout sizes its
+			// sample records at declare time and drops beacons on undeclared
 			// edges.
 			for u := 0; u < n; u++ {
 				if err := dyn.DeclareLink(u, (u+1)%n, topo.DefaultLinkParams()); err != nil {

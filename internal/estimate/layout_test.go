@@ -61,7 +61,7 @@ func TestMessagingLayoutDifferential(t *testing.T) {
 		}
 		for step := 0; step < 300; step++ {
 			u, v := pair()
-			switch rng.Intn(6) {
+			switch rng.Intn(7) {
 			case 0:
 				_ = dyn.DeclareLink(u, v, linkParams())
 			case 1:
@@ -85,10 +85,111 @@ func TestMessagingLayoutDifferential(t *testing.T) {
 				soa.Invalidate(u, v)
 			case 5:
 				eng.RunUntil(eng.Now() + sim.Time(rng.Uniform(0, 0.2)))
+			case 6:
+				// Undeclare frees the link's topology slot; the next new
+				// declare reuses it (csr.FreeList is LIFO), handing the
+				// flat store a handle whose records a different pair
+				// wrote. Both sides are down, so the runner's EdgeDown
+				// listener has already invalidated both directions.
+				if dyn.Sees(u, v) || dyn.Sees(v, u) {
+					continue
+				}
+				for _, m := range []*Messaging{ref, soa} {
+					m.Invalidate(u, v)
+					m.Invalidate(v, u)
+				}
+				_ = dyn.Undeclare(u, v)
 			}
 			check(step)
 		}
 	}
+}
+
+// TestMessagingHandleReuse pins the flat store across topology slot reuse:
+// after a link with live samples is undeclared, a different pair declared
+// next takes over its directed-edge handles, and must report no estimate
+// until a beacon crosses it — exactly as the map store, which never saw the
+// new pair, does.
+func TestMessagingHandleReuse(t *testing.T) {
+	const n = 6
+	eng := sim.NewEngine()
+	dyn := topo.NewDynamic(n, eng, sim.NewRNG(1))
+	hw := func(u int) float64 { return float64(eng.Now()) }
+	cfg := MessagingConfig{Rho: 0.002, Mu: 0.1, BeaconInterval: 0.25, TickSlop: 0.04}
+	refCfg := cfg
+	refCfg.ReferenceLayout = true
+	ref := NewMessaging(n, dyn, hw, refCfg)
+	soa := NewMessaging(n, dyn, hw, cfg)
+	both := func(fn func(m *Messaging)) { fn(ref); fn(soa) }
+	same := func(u, v int, wantOK bool) {
+		t.Helper()
+		re, rok := ref.Estimate(u, v)
+		se, sok := soa.Estimate(u, v)
+		if re != se || rok != sok || sok != wantOK {
+			t.Fatalf("Estimate(%d,%d): ref (%v,%v) soa (%v,%v), want ok=%v", u, v, re, rok, se, sok, wantOK)
+		}
+	}
+	beacon := func(to, from int, l float64) {
+		both(func(m *Messaging) {
+			m.RecordBeacon(to, from, transport.Beacon{L: l}, transport.Delivery{MinTransit: 0.05})
+		})
+	}
+
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}} {
+		if err := dyn.DeclareLink(e[0], e[1], linkParams()); err != nil {
+			t.Fatal(err)
+		}
+		if err := dyn.AppearInstant(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	beacon(1, 2, 7)
+	beacon(2, 1, 9)
+	same(1, 2, true)
+	freed, _, _, _ := dyn.Link(1, 2)
+
+	// Take {1,2} down on both sides and undeclare it, then declare a
+	// different pair. No Invalidate runs, so the freed handles still hold
+	// valid samples young enough to certify: only the declare-time reset
+	// keeps them from leaking into the new link.
+	if err := dyn.Disappear(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(eng.Now() + 0.2)
+	if err := dyn.Undeclare(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := dyn.DeclareLink(4, 5, linkParams()); err != nil {
+		t.Fatal(err)
+	}
+	if h, _, _, _ := dyn.Link(4, 5); h&^1 != freed&^1 {
+		t.Fatalf("link {4,5} got handle %d; want the freed link's pair %d/%d", h, freed&^1, freed|1)
+	}
+	if err := dyn.AppearInstant(4, 5); err != nil {
+		t.Fatal(err)
+	}
+	same(4, 5, false)
+	same(5, 4, false)
+	beacon(4, 5, 3)
+	same(4, 5, true)
+	same(5, 4, false)
+	if ref.Misses != soa.Misses {
+		t.Fatalf("Misses: ref %d soa %d", ref.Misses, soa.Misses)
+	}
+}
+
+// TestMessagingFlatNeedsLinkHandles: the flat store keys records by the
+// topology's link handles, which a reference-layout topology does not have;
+// pairing the two must fail at construction, not on the first query.
+func TestMessagingFlatNeedsLinkHandles(t *testing.T) {
+	dyn := topo.NewDynamic(4, sim.NewEngine(), sim.NewRNG(1))
+	dyn.SetReferenceLayout(true)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("flat Messaging over a reference-layout topology did not panic")
+		}
+	}()
+	NewMessaging(4, dyn, func(int) float64 { return 0 }, MessagingConfig{BeaconInterval: 0.25})
 }
 
 // TestRBSLayoutDifferential runs a reference-layout and a flat-layout RBS

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"repro/internal/csr"
 	"repro/internal/topo"
 	"repro/internal/transport"
 )
@@ -26,12 +25,12 @@ type MessagingConfig struct {
 	// certified error becomes symmetric and half as large.
 	Centered bool
 	// ReferenceLayout selects the map-backed sample store instead of the
-	// default flat CSR sample slabs. Kept for differential pinning
+	// default flat slab keyed by link handle. Kept for differential pinning
 	// (TestMessagingLayoutDifferential); see DESIGN.md §Structure-of-arrays.
 	ReferenceLayout bool
 }
 
-// sample is the last beacon received on a directed edge.
+// sample is the last beacon received on a directed edge: one 32-byte record.
 type sample struct {
 	lSent      float64
 	hwAtRecv   float64
@@ -52,14 +51,13 @@ type Messaging struct {
 	hw  func(int) float64
 	// samples[u] maps peer → latest sample (reference layout only).
 	samples []map[int]*sample
-	// Flat layout (default): rows[u] maps peer → slot into the parallel
-	// sample slabs below. Rows are pre-registered when links are declared
-	// (declares are serial engine/scenario operations), so RecordBeacon —
-	// which runs concurrently for distinct receivers under the sharded
-	// event drain — never mutates the row structure, only its own slots.
-	rows                           *csr.Rows
-	smLSent, smHwAtRecv, smTransit []float64
-	smValid                        []uint8
+	// Flat layout (default): recs[h] is u's sample of v, where h is the
+	// topology's directed-edge handle for (u, v) (topo.Dynamic.Link). The
+	// slab is sized and the new link's two records zeroed when a link is
+	// declared (declares are serial engine/scenario operations), so
+	// RecordBeacon — which runs concurrently for distinct receivers under
+	// the sharded event drain — only writes its receiver's own records.
+	recs []sample
 	// Misses counts estimate queries that found no certified sample. It is
 	// incremented atomically: Estimate runs concurrently for distinct u
 	// under the sharded tick, and an atomic sum is the one per-query effect
@@ -68,9 +66,10 @@ type Messaging struct {
 }
 
 // NewMessaging creates the layer for n nodes. hw returns a node's current
-// hardware clock. In the default flat layout the layer registers a sample
-// slot for every link already declared on dyn and subscribes to future
-// declares, so beacon ingestion never grows the adjacency structure.
+// hardware clock. In the default flat layout the layer sizes its slab for
+// every link already declared on dyn and subscribes to future declares, so
+// beacon ingestion never grows it. The flat layout keys records by the
+// topology's link handles, so it panics on a reference-layout topology.
 func NewMessaging(n int, dyn *topo.Dynamic, hw func(int) float64, cfg MessagingConfig) *Messaging {
 	m := &Messaging{dyn: dyn, cfg: cfg, hw: hw}
 	if cfg.ReferenceLayout {
@@ -80,78 +79,68 @@ func NewMessaging(n int, dyn *topo.Dynamic, hw func(int) float64, cfg MessagingC
 		}
 		return m
 	}
-	m.rows = csr.NewRows(n)
-	var ids []topo.EdgeID
-	for _, id := range dyn.DeclaredEdges(ids) {
+	if dyn.ReferenceLayout() {
+		panic("estimate: flat Messaging store needs link handles; the reference-layout topology has none")
+	}
+	for _, id := range dyn.DeclaredEdges(nil) {
 		m.register(id.U, id.V)
 	}
 	dyn.OnDeclare(m.register)
 	return m
 }
 
-// register reserves sample slots for both directions of a newly declared
-// link. Re-declares after an undeclare keep their old slots (the stale
-// sample is unobservable until a beacon crosses the revived edge, exactly
-// as the reference map keeps its entry).
+// register sizes the slab for a newly declared link and zeroes its two
+// records: the handle may be a freed link's, and a new link must report no
+// sample until a beacon crosses it. The reference map instead keeps an
+// undeclared pair's entries, but they are already invalid: a link is only
+// undeclared once both sides are down, and each EdgeDown invalidates its
+// direction.
 func (m *Messaging) register(a, b int) {
-	for _, d := range [2][2]int{{a, b}, {b, a}} {
-		u, v := d[0], d[1]
-		if _, ok := m.rows.Find(u, int32(v)); ok {
-			continue
-		}
-		slot := int32(len(m.smValid))
-		m.smLSent = append(m.smLSent, 0)
-		m.smHwAtRecv = append(m.smHwAtRecv, 0)
-		m.smTransit = append(m.smTransit, 0)
-		m.smValid = append(m.smValid, 0)
-		m.rows.Insert(u, int32(v), slot)
+	h, _, _, _ := m.dyn.Link(a, b)
+	h &^= 1
+	if grow := int(h) + 2 - len(m.recs); grow > 0 {
+		m.recs = append(m.recs, make([]sample, grow)...)
 	}
+	m.recs[h], m.recs[h+1] = sample{}, sample{}
 }
 
 // RecordBeacon ingests a delivered beacon; the runner calls this for every
-// beacon delivery.
+// beacon delivery. In the flat layout it is one probe of the receiver's
+// adjacency row and one record write.
 func (m *Messaging) RecordBeacon(to, from int, b transport.Beacon, d transport.Delivery) {
+	s := sample{lSent: b.L, hwAtRecv: m.hw(to), minTransit: d.MinTransit, valid: true}
 	if m.samples != nil {
-		sm, ok := m.samples[to][from]
-		if !ok {
-			sm = &sample{}
-			m.samples[to][from] = sm
+		if r, ok := m.samples[to][from]; ok {
+			*r = s
+		} else {
+			m.samples[to][from] = &s
 		}
-		sm.lSent = b.L
-		sm.hwAtRecv = m.hw(to)
-		sm.minTransit = d.MinTransit
-		sm.valid = true
 		return
 	}
-	slot, ok := m.rows.Find(to, int32(from))
-	if !ok {
-		// A beacon on a never-declared edge is unobservable (Estimate gates
-		// on dyn.Sees, which requires a declared link), so dropping it here
-		// is behaviorally identical to the reference map's orphan entry —
-		// and keeps this concurrent path free of structural mutation.
-		return
+	// A beacon on a never-declared edge is unobservable (Estimate gates on
+	// visibility, which requires a declared link), so dropping it is
+	// behaviorally identical to the reference map's orphan entry — and keeps
+	// this concurrent path free of structural mutation.
+	if h, _, _, ok := m.dyn.Link(to, from); ok {
+		m.recs[h] = s
 	}
-	m.smLSent[slot] = b.L
-	m.smHwAtRecv[slot] = m.hw(to)
-	m.smTransit[slot] = d.MinTransit
-	m.smValid[slot] = 1
 }
 
 // Invalidate drops the sample for a directed edge (called on edge loss, so a
 // stale pre-outage sample is never reused after a reappearance). It is one
-// probe on u's own sample row — O(deg u), independent of the network size,
+// probe on u's adjacency row — O(deg u), independent of the network size,
 // and allocation-free — so EdgeDown storms (churn waves, partitions) cost
 // one short sorted scan per lost directed edge;
 // BenchmarkMessagingInvalidate pins both properties across network sizes.
 func (m *Messaging) Invalidate(u, v int) {
 	if m.samples != nil {
-		if sm, ok := m.samples[u][v]; ok {
-			sm.valid = false
+		if r := m.samples[u][v]; r != nil {
+			r.valid = false
 		}
 		return
 	}
-	if slot, ok := m.rows.Find(u, int32(v)); ok {
-		m.smValid[slot] = 0
+	if h, _, _, ok := m.dyn.Link(u, v); ok {
+		m.recs[h].valid = false
 	}
 }
 
@@ -179,39 +168,30 @@ func advanceSample(cfg MessagingConfig, lSent, minTransit, ageHW float64) float6
 
 // Estimate implements Layer.
 func (m *Messaging) Estimate(u, v int) (float64, bool) {
-	if !m.dyn.Sees(u, v) {
+	h, p, sees, _ := m.dyn.Link(u, v)
+	if !sees {
 		return 0, false
 	}
-	var lSent, hwAtRecv, minTransit float64
+	var r *sample
 	if m.samples != nil {
-		sm, ok := m.samples[u][v]
-		if !ok || !sm.valid {
-			atomic.AddUint64(&m.Misses, 1)
-			return 0, false
-		}
-		lSent, hwAtRecv, minTransit = sm.lSent, sm.hwAtRecv, sm.minTransit
+		r = m.samples[u][v]
 	} else {
-		slot, ok := m.rows.Find(u, int32(v))
-		if !ok || m.smValid[slot] == 0 {
-			atomic.AddUint64(&m.Misses, 1)
-			return 0, false
-		}
-		lSent, hwAtRecv, minTransit = m.smLSent[slot], m.smHwAtRecv[slot], m.smTransit[slot]
+		r = &m.recs[h]
 	}
-	p, ok := m.dyn.Params(u, v)
-	if !ok {
+	if r == nil || !r.valid {
+		atomic.AddUint64(&m.Misses, 1)
 		return 0, false
 	}
-	ageHW := m.hw(u) - hwAtRecv
-	if ageHW < 0 || ageHW > maxSampleAgeHW(m.cfg, p) {
+	ageHW := m.hw(u) - r.hwAtRecv
+	if ageHW < 0 || ageHW > maxSampleAgeHW(m.cfg, *p) {
 		atomic.AddUint64(&m.Misses, 1)
 		return 0, false
 	}
 	// The transit credit inside advanceSample covers only fully elapsed
 	// integration ticks (clocks advance in steps); TickSlop compensates.
-	est := advanceSample(m.cfg, lSent, minTransit, ageHW)
+	est := advanceSample(m.cfg, r.lSent, r.minTransit, ageHW)
 	if m.cfg.Centered {
-		est += oneSidedBound(m.cfg, p) / 2
+		est += oneSidedBound(m.cfg, *p) / 2
 	}
 	return est, true
 }
@@ -247,14 +227,14 @@ func (m *Messaging) Eps(u, v int) float64 {
 }
 
 // ConcurrentQueries implements ConcurrentLayer: a query for node u reads
-// only u's own sample map, u's hardware clock and the (tick-stable)
+// only u's own sample records, u's hardware clock and the (tick-stable)
 // topology; the sole shared write is the atomic miss counter. Samples are
 // written by beacon deliveries and invalidations, which are engine events —
 // never inside an integration tick.
 func (m *Messaging) ConcurrentQueries() bool { return true }
 
 // NodeLocalQueries implements NodeLocalLayer: everything Estimate and Eps
-// read for querying node u — the sample row, the hardware clock hw(u), link
-// parameters — is u-local or tick-stable, so queries stay correct while
+// read for querying node u — u's sample records, the hardware clock hw(u),
+// link parameters — is u-local or tick-stable, so queries stay correct while
 // integration ticks are applied lazily per node (tick-crossing windows).
 func (m *Messaging) NodeLocalQueries() bool { return true }

@@ -76,3 +76,28 @@ func BenchmarkTopoChurn(b *testing.B) {
 		cycle(chords[i%len(chords)])
 	}
 }
+
+// BenchmarkTopoLink measures the one-probe link resolution every estimate
+// query makes (handle, parameters and visibility of a directed edge) on a
+// 10⁴-node ring, querying every directed ring pair round-robin. It must
+// read 0 allocs/op.
+func BenchmarkTopoLink(b *testing.B) {
+	const n = 10000
+	d := NewDynamic(n, sim.NewEngine(), sim.NewRNG(1))
+	if err := Install(d, Ring(n), DefaultLinkParams()); err != nil {
+		b.Fatal(err)
+	}
+	var seen int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u := (i >> 1) % n
+		v := (u + 1 - (i&1)*2 + n) % n // u+1, then u−1
+		if _, p, sees, ok := d.Link(u, v); ok && sees && p.Eps > 0 {
+			seen++
+		}
+	}
+	if seen != b.N {
+		b.Fatalf("%d of %d ring links resolved visible", seen, b.N)
+	}
+}

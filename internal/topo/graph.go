@@ -132,7 +132,7 @@ const (
 // times), per-node adjacency is a csr.Rows mapping peer → slot, and the only
 // remaining keyed lookup — Declare and the scenario edge toggles — goes
 // through one compact packed-EdgeID → slot map off the hot path. Hot reads
-// (Sees, Params, Neighbors, AgeBoth) scan one contiguous sorted row.
+// (Link, Sees, Params, Neighbors, AgeBoth) scan one contiguous sorted row.
 // SetReferenceLayout(true) switches to the retained map-backed layout; the
 // two are pinned byte-identical by differential and fuzz tests.
 type Dynamic struct {
@@ -157,8 +157,9 @@ type Dynamic struct {
 	pairTransit []float64
 	inMin       []float64
 	// onDeclare hooks run after each newly declared link (never for
-	// re-declares); the estimate layers use them to pre-register sample
-	// slots so beacon ingestion stays structurally read-only.
+	// re-declares); the Messaging estimate layer uses them to size and reset
+	// its per-handle sample records so beacon ingestion stays structurally
+	// read-only.
 	onDeclare []func(a, b int)
 
 	// Structure-of-arrays layout (nil ref).
@@ -409,19 +410,37 @@ func (d *Dynamic) Undeclare(a, b int) error {
 
 // Params returns the link parameters for {a,b}.
 func (d *Dynamic) Params(a, b int) (LinkParams, bool) {
-	if d.ref != nil {
-		e, ok := d.ref.edges[MakeEdgeID(a, b)]
-		if !ok {
-			return LinkParams{}, false
-		}
-		return e.params, true
-	}
-	slot, ok := d.adj.Find(a, int32(b))
+	_, p, _, ok := d.Link(a, b)
 	if !ok {
 		return LinkParams{}, false
 	}
-	return d.classes[d.eClass[slot]], true
+	return *p, true
 }
+
+// Link resolves the declared link {u,v} from u's side with one probe of u's
+// adjacency row: h is u's directed-edge handle 2·slot + side (stable while
+// the link stays declared; −1 in the reference layout, which has no slots),
+// p its parameters (read-only), sees whether v ∈ N_u(t), and ok whether the
+// link is declared at all. Per-directed-edge stores index flat slabs by h.
+func (d *Dynamic) Link(u, v int) (h int32, p *LinkParams, sees, ok bool) {
+	if d.ref != nil {
+		e, ok := d.ref.adj[u][v]
+		if !ok {
+			return -1, nil, false, false
+		}
+		return -1, &e.params, e.up[e.side(u)], true
+	}
+	slot, ok := d.adj.Find(u, int32(v))
+	if !ok {
+		return -1, nil, false, false
+	}
+	s := sideOf(u, v)
+	return slot<<1 | int32(s), &d.classes[d.eClass[slot]], d.eUp[slot]&(upU<<s) != 0, true
+}
+
+// ReferenceLayout reports whether the graph runs the map-backed reference
+// layout, whose Link returns no handles.
+func (d *Dynamic) ReferenceLayout() bool { return d.ref != nil }
 
 // Appear makes edge {a,b} appear now. Each endpoint observes the appearance
 // after an independent delay drawn uniformly from [0, τ], matching the
@@ -579,18 +598,8 @@ func sideOf(u, v int) int {
 // Sees reports whether the directed estimate edge (u, v) currently exists,
 // i.e. v ∈ N_u(t) in the paper's notation.
 func (d *Dynamic) Sees(u, v int) bool {
-	if d.ref != nil {
-		e, ok := d.ref.adj[u][v]
-		if !ok {
-			return false
-		}
-		return e.up[e.side(u)]
-	}
-	slot, ok := d.adj.Find(u, int32(v))
-	if !ok {
-		return false
-	}
-	return d.eUp[slot]&(upU<<sideOf(u, v)) != 0
+	_, _, sees, _ := d.Link(u, v)
+	return sees
 }
 
 // BothUp reports whether {u,v} exists in both directions.

@@ -93,8 +93,8 @@ func (s ShiftDelay) Draw(_ *sim.Stream, from, to int, p topo.LinkParams) float64
 // message is one pooled in-flight beacon record. Records are recycled
 // through a per-shard free list, so the steady-state send/deliver path
 // allocates nothing. Fields are packed to keep the record at 56 bytes
-// (int32 ids, uint32 seq) — in-flight slabs are a top-line memory consumer
-// at N=10⁷.
+// (int32 ids, uint32 seq, 4 bytes of padding) — in-flight slabs are a
+// top-line memory consumer at N=10⁷.
 type message struct {
 	from, to int32
 	// seq is the sender's beacon send counter, the last tie-break of the
@@ -104,7 +104,6 @@ type message struct {
 	// magnitude beyond any run, and a wrap could only reorder same-deadline
 	// same-pair messages.
 	seq        uint32
-	pos        int32 // index in netShard.heap; -1 while free
 	deadline   sim.Time
 	sentAt     sim.Time
 	minTransit float64
@@ -145,9 +144,10 @@ type netShard struct {
 // due at the same instant delivered before controls (source registration
 // order) and global events before either.
 //
-// The slab/free-list/4-ary-heap machinery deliberately mirrors
-// internal/sim's event queue (see Engine); a change to either sift or
-// removal routine should be applied to both.
+// The slab/free-list/4-ary-heap machinery has the shape of internal/sim's
+// event queue (see Engine) but only ever pops the root, so its records keep
+// no heap position; the engine's do, because Cancel removes events at
+// arbitrary positions.
 type Network struct {
 	engine  *sim.Engine
 	dyn     *topo.Dynamic
@@ -172,7 +172,6 @@ type Network struct {
 type control struct {
 	from, to   int32
 	seq        uint32 // sender's control send counter (content-key tie-break)
-	pos        int32  // index in ctlShard.heap; -1 while free
 	sentAt     sim.Time
 	deadline   sim.Time
 	minTransit float64
@@ -296,7 +295,6 @@ func (n *Network) SendBeaconAt(from, to int, b Beacon, at sim.Time) {
 		sentAt:     at,
 		minTransit: params.Delay - params.Uncertainty,
 		beacon:     b,
-		pos:        -1,
 	}
 	n.senderSeq[from]++
 	delay := n.policy.Draw(&n.streams[from], from, to, params)
@@ -399,7 +397,7 @@ func (n *Network) FireNext(shard int, now sim.Time) {
 		At:         now,
 		MinTransit: m.minTransit,
 	}
-	sh.removeAt(0)
+	sh.popRoot()
 	sh.release(slot)
 	if n.handler == nil || !n.dyn.Sees(to, from) {
 		sh.dropped++
@@ -458,7 +456,7 @@ func (q *controlQueue) FireNext(shard int, now sim.Time) {
 	// Release before handling: dropping the payload reference frees boxed
 	// controls, and the handler may send again, reusing the slot.
 	c.payload = nil
-	sh.removeAt(0)
+	sh.popRoot()
 	sh.release(slot)
 	if n.handler == nil || !n.dyn.Sees(to, from) {
 		n.shards[to%len(n.shards)].dropped++
@@ -474,11 +472,9 @@ func (q *controlQueue) Flush(int) {}
 // push inserts a message into the shard's pooled deadline queue.
 func (sh *netShard) push(m message) {
 	slot := sh.alloc()
-	r := &sh.msgs[slot]
-	*r = m
-	r.pos = int32(len(sh.heap))
+	sh.msgs[slot] = m
 	sh.heap = append(sh.heap, slot)
-	sh.siftUp(int(r.pos))
+	sh.siftUp(len(sh.heap) - 1)
 }
 
 // alloc takes a message slot from the free list, growing the slab only when
@@ -489,13 +485,12 @@ func (sh *netShard) alloc() int32 {
 		sh.free = sh.free[:l-1]
 		return slot
 	}
-	sh.msgs = append(sh.msgs, message{pos: -1})
+	sh.msgs = append(sh.msgs, message{})
 	return int32(len(sh.msgs) - 1)
 }
 
 // release recycles a slot.
 func (sh *netShard) release(slot int32) {
-	sh.msgs[slot].pos = -1
 	sh.free = append(sh.free, slot)
 }
 
@@ -526,11 +521,9 @@ func (sh *netShard) siftUp(i int) {
 			break
 		}
 		h[i] = h[p]
-		sh.msgs[h[i]].pos = int32(i)
 		i = p
 	}
 	h[i] = slot
-	sh.msgs[slot].pos = int32(i)
 }
 
 func (sh *netShard) siftDown(i int) {
@@ -556,36 +549,27 @@ func (sh *netShard) siftDown(i int) {
 			break
 		}
 		h[i] = h[best]
-		sh.msgs[h[i]].pos = int32(i)
 		i = best
 	}
 	h[i] = slot
-	sh.msgs[slot].pos = int32(i)
 }
 
-func (sh *netShard) removeAt(i int) {
+// popRoot removes the earliest entry from the heap.
+func (sh *netShard) popRoot() {
 	l := len(sh.heap) - 1
-	last := sh.heap[l]
+	sh.heap[0] = sh.heap[l]
 	sh.heap = sh.heap[:l]
-	if i == l {
-		return
-	}
-	sh.heap[i] = last
-	sh.msgs[last].pos = int32(i)
-	sh.siftDown(i)
-	if int(sh.msgs[last].pos) == i {
-		sh.siftUp(i)
+	if l > 0 {
+		sh.siftDown(0)
 	}
 }
 
 // push inserts a control into the shard's pooled deadline queue.
 func (sh *ctlShard) push(c control) {
 	slot := sh.alloc()
-	r := &sh.ctls[slot]
-	*r = c
-	r.pos = int32(len(sh.heap))
+	sh.ctls[slot] = c
 	sh.heap = append(sh.heap, slot)
-	sh.siftUp(int(r.pos))
+	sh.siftUp(len(sh.heap) - 1)
 }
 
 func (sh *ctlShard) alloc() int32 {
@@ -594,12 +578,11 @@ func (sh *ctlShard) alloc() int32 {
 		sh.free = sh.free[:l-1]
 		return slot
 	}
-	sh.ctls = append(sh.ctls, control{pos: -1})
+	sh.ctls = append(sh.ctls, control{})
 	return int32(len(sh.ctls) - 1)
 }
 
 func (sh *ctlShard) release(slot int32) {
-	sh.ctls[slot].pos = -1
 	sh.free = append(sh.free, slot)
 }
 
@@ -628,11 +611,9 @@ func (sh *ctlShard) siftUp(i int) {
 			break
 		}
 		h[i] = h[p]
-		sh.ctls[h[i]].pos = int32(i)
 		i = p
 	}
 	h[i] = slot
-	sh.ctls[slot].pos = int32(i)
 }
 
 func (sh *ctlShard) siftDown(i int) {
@@ -658,24 +639,17 @@ func (sh *ctlShard) siftDown(i int) {
 			break
 		}
 		h[i] = h[best]
-		sh.ctls[h[i]].pos = int32(i)
 		i = best
 	}
 	h[i] = slot
-	sh.ctls[slot].pos = int32(i)
 }
 
-func (sh *ctlShard) removeAt(i int) {
+// popRoot removes the earliest entry from the heap.
+func (sh *ctlShard) popRoot() {
 	l := len(sh.heap) - 1
-	last := sh.heap[l]
+	sh.heap[0] = sh.heap[l]
 	sh.heap = sh.heap[:l]
-	if i == l {
-		return
-	}
-	sh.heap[i] = last
-	sh.ctls[last].pos = int32(i)
-	sh.siftDown(i)
-	if int(sh.ctls[last].pos) == i {
-		sh.siftUp(i)
+	if l > 0 {
+		sh.siftDown(0)
 	}
 }

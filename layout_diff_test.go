@@ -9,9 +9,11 @@ package gradsync_test
 // `make race`, putting the SoA read paths in front of the detector.
 
 import (
+	"fmt"
 	"testing"
 
 	gradsync "repro"
+	"repro/internal/scenario"
 )
 
 // TestLayoutDifferential replays randomized full runs — topology, scenario,
@@ -35,6 +37,46 @@ func TestLayoutDifferential(t *testing.T) {
 				return fingerprint(net)
 			}
 			refFP := run(true, 1)
+			for _, par := range []int{1, 2, 8} {
+				if d := refFP.diff(run(false, par)); d != "" {
+					t.Fatalf("SoA layout at parallelism %d diverged from reference layout: %s", par, d)
+				}
+			}
+		})
+	}
+	// Messaging estimates crossed with fast mode: an initial skew ramp makes
+	// A^OPT's fast trigger fire on message-based estimates under churn, so
+	// the flat sample store is pinned against the map store while the
+	// estimate values decide the mode (the random cases above may draw
+	// messaging runs that never leave slow mode).
+	for _, centered := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fast/messaging/centered=%v", centered), func(t *testing.T) {
+			const n = 16
+			ramp := make([]float64, n)
+			for u := range ramp {
+				ramp[u] = 0.6 * float64(u)
+			}
+			run := func(ref bool, par int) tickFingerprint {
+				net := gradsync.MustNew(gradsync.Config{
+					Topology:         gradsync.LineTopology(n),
+					Algorithm:        gradsync.AOPT(),
+					Drift:            gradsync.TwoGroupDrift(n / 2),
+					Estimates:        gradsync.MessagingEstimates(centered),
+					Scenario:         &scenario.Churn{Every: 2},
+					InitialClocks:    ramp,
+					TickParallelism:  par,
+					EventParallelism: par,
+					ReferenceLayout:  ref,
+					Seed:             12,
+				})
+				net.RunFor(30)
+				return fingerprint(net)
+			}
+			refFP := run(true, 1)
+			t.Logf("reference run: %d fast, %d slow, %d missing-estimate ticks", refFP.fast, refFP.slow, refFP.missing)
+			if refFP.fast == 0 {
+				t.Fatalf("reference run never entered fast mode (slow ticks %d): the case does not cross fast mode", refFP.slow)
+			}
 			for _, par := range []int{1, 2, 8} {
 				if d := refFP.diff(run(false, par)); d != "" {
 					t.Fatalf("SoA layout at parallelism %d diverged from reference layout: %s", par, d)
