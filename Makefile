@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint cover bench bench-json bench-diff bench-baseline bench-large suite suite-large ci
+.PHONY: all build vet test race lint cover loc bench bench-json bench-diff bench-baseline bench-large suite suite-large ci
 
 all: build test
 
@@ -35,6 +35,14 @@ test:
 cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -1
+
+# Non-test and test Go line counts — the code-size figure ROADMAP.md tracks
+# beside ns/op. perfbench/ (the benchmark harness) and its build directory
+# are excluded.
+GO_FILES = find . -name '*.go' -not -path './perfbench/*' -not -path './.bench_build/*'
+loc:
+	@$(GO_FILES) -not -name '*_test.go' -exec cat {} + | wc -l | awk '{print "non-test Go lines:", $$1}'
+	@$(GO_FILES) -name '*_test.go' -exec cat {} + | wc -l | awk '{print "test Go lines:", $$1}'
 
 # The sweep layer fans replicas across goroutines and the integration tick
 # shards node work across a worker pool; the race target proves both

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/analysis"
 	"repro/internal/csr"
@@ -19,41 +18,6 @@ type insertEdgeMsg struct {
 	GTilde float64
 }
 
-// edgeRec is one node's state for a (potential) estimate edge, as described
-// in Section 4.3.2: the implicit representation of all neighbor sets N^s via
-// the pair (T₀, I), plus handshake bookkeeping.
-type edgeRec struct {
-	peer int
-	// Derived per-edge constants (Section 4.3.1).
-	eps   float64 // estimate uncertainty ε_e of the estimate layer
-	tau   float64 // detection delay τ_e
-	delay float64 // message delay bound T_e
-	kappa float64 // weight κ_e (eq. 9)
-	delta float64 // slow-trigger slack δ_e
-
-	up      bool
-	upSince sim.Time
-	lAtUp   float64 // L_self when the edge was discovered
-
-	// Insertion state: when haveTimes, the edge is being (or has been)
-	// inserted with base T₀ and duration I. preInserted marks time-0 edges,
-	// which the paper places in all neighbor sets immediately.
-	preInserted bool
-	haveTimes   bool
-	t0          float64
-	insDur      float64
-	// Decaying-weight insertion (§5.5 strategy): once decaying, the edge is
-	// in all neighbor sets with weight κ(l) = max(κ_e, κ₀ − (l−t0)·rate),
-	// evaluated against the local logical clock l.
-	decaying bool
-	kappa0   float64
-	// dynamicGrid marks the §7 insertion-time schedule (Lemma 7.1 offsets)
-	// instead of the Listing 2 offsets.
-	dynamicGrid bool
-
-	check sim.Handle // pending handshake check (zero when none)
-}
-
 // Algorithm is the AOPT implementation; it satisfies runner.Algorithm.
 type Algorithm struct {
 	p  Params
@@ -64,17 +28,9 @@ type Algorithm struct {
 	m    []float64 // max estimates M_u
 	mult []float64 // current rate multiplier (1 or 1+µ)
 
-	// Reference (map-backed) layout, active when refLayout is set:
-	// edges[u] maps peer → record; peers[u] lists the known peer ids in
-	// ascending order so trigger evaluation iterates deterministically
-	// (maps would randomize RNG draw order through the estimate layer).
-	edges []map[int]*edgeRec
-	peers [][]int
-
-	// Structure-of-arrays layout (the default; see soa.go): rows maps
-	// (node, peer) → slot into the parallel rec slabs, already sorted by
-	// peer, and the per-edge constants are interned in classes.
-	refLayout bool
+	// Per-directed-edge records in the structure-of-arrays layout (soa.go):
+	// rows maps (node, peer) → slot into the parallel rec slabs, already
+	// sorted by peer, and the per-edge constants are interned in classes.
 	rows      *csr.Rows
 	classes   []edgeClass
 	classIdx  map[edgeClass]int32
@@ -96,15 +52,6 @@ type Algorithm struct {
 	// the range and break Lemma 5.3 — settable only through
 	// OverrideDeltaFraction for the E12 ablation.
 	deltaFraction float64
-
-	// refTriggers switches trigger evaluation to the reference double loop
-	// (the literal Definitions 4.5–4.7 scan over every level s). It exists
-	// only so the differential and fuzz tests can pin the single-pass
-	// engine to byte-identical decisions; production always uses the fold.
-	refTriggers bool
-
-	// evals is scratch for the reference trigger evaluation.
-	evals []edgeEval
 
 	// Sharded-tick machinery: Step fans its two phases over the runtime's
 	// tick shards (see Step). shardCtr gives each shard a private counter
@@ -163,23 +110,6 @@ func MustNew(p Params) *Algorithm {
 // Name implements runner.Algorithm.
 func (a *Algorithm) Name() string { return "aopt" }
 
-// SetReferenceTriggers switches between the single-pass trigger engine
-// (false, the default) and the reference per-level double loop (true). The
-// two are pinned byte-identical by the differential tests; the switch exists
-// so those tests (and ablation debugging) can run the literal definition.
-func (a *Algorithm) SetReferenceTriggers(ref bool) { a.refTriggers = ref }
-
-// SetReferenceLayout switches between the structure-of-arrays edge-record
-// layout (false, the default; soa.go) and the retained map-of-pointers
-// layout (true). The two are pinned byte-identical by the full-run
-// differential tests; call before Init (i.e. before the runtime Attach).
-func (a *Algorithm) SetReferenceLayout(ref bool) {
-	if a.rt != nil {
-		panic("core: SetReferenceLayout after Init")
-	}
-	a.refLayout = ref
-}
-
 // OverrideDeltaFraction repositions the slow-trigger slack δ_e at the given
 // fraction of its legal range (0, κ/2−2ε−2µτ). Fractions ≥ 1 leave the
 // legal range and are permitted only so the E12 ablation can demonstrate
@@ -202,16 +132,8 @@ func (a *Algorithm) Init(rt *runner.Runtime) {
 	for i := range a.mult {
 		a.mult[i] = 1
 	}
-	if a.refLayout {
-		a.edges = make([]map[int]*edgeRec, a.n)
-		for i := range a.edges {
-			a.edges[i] = make(map[int]*edgeRec)
-		}
-		a.peers = make([][]int, a.n)
-	} else {
-		a.rows = csr.NewRows(a.n)
-		a.classIdx = make(map[edgeClass]int32)
-	}
+	a.rows = csr.NewRows(a.n)
+	a.classIdx = make(map[edgeClass]int32)
 	a.shardCtr = make([]modeCounters, rt.TickShards())
 	a.evCtr = make([]modeCounters, rt.Engine.EventShards())
 	a.decideFn = a.decideShard
@@ -269,116 +191,73 @@ func (a *Algorithm) refreshSMax() {
 	a.sMax = s
 }
 
-// handshakeDelta returns the Listing 1 waiting period Δ for an edge.
-func (a *Algorithm) handshakeDelta(rec *edgeRec) float64 {
-	return a.handshakeDeltaVals(rec.delay, rec.tau)
-}
-
-func (a *Algorithm) handshakeDeltaVals(delay, tau float64) float64 {
+// handshakeDelta returns the Listing 1 waiting period Δ for an edge with
+// message delay bound delay and detection delay tau.
+func (a *Algorithm) handshakeDelta(delay, tau float64) float64 {
 	p := a.p
 	return (1+p.Rho)*(1+p.Mu)*(delay+tau)/(1-p.Rho) + tau
 }
 
-// ensureRec creates (or returns) u's record for edge {u,v}, deriving the
-// per-edge constants from the link parameters and estimate layer.
-func (a *Algorithm) ensureRec(u, v int) *edgeRec {
-	if rec, ok := a.edges[u][v]; ok {
-		return rec
-	}
-	lp, ok := a.rt.Dyn.Params(u, v)
-	if !ok {
-		return nil
-	}
-	eps := a.rt.Est.Eps(u, v)
-	kappa := analysis.Kappa(eps, lp.Tau, a.p.Mu, a.p.KappaFactor)
-	_, deltaHi := analysis.DeltaRange(kappa, eps, lp.Tau, a.p.Mu)
-	rec := &edgeRec{
-		peer:  v,
-		eps:   eps,
-		tau:   lp.Tau,
-		delay: lp.Delay,
-		kappa: kappa,
-		delta: a.deltaFraction * deltaHi,
-	}
-	a.edges[u][v] = rec
-	a.peers[u] = append(a.peers[u], v)
-	sort.Ints(a.peers[u])
-	if kappa < a.minKappa {
-		a.minKappa = kappa
-		a.refreshSMax()
-	}
-	return rec
-}
-
 // OnEdgeUp implements runner.Algorithm; it is Listing 1's discovery path.
 func (a *Algorithm) OnEdgeUp(self, peer int, t sim.Time) {
-	if !a.refLayout {
-		a.onEdgeUpSlot(self, peer, t)
+	slot, ok := a.ensureSlot(self, peer)
+	if !ok {
 		return
 	}
-	rec := a.ensureRec(self, peer)
-	if rec == nil {
-		return
-	}
-	rec.up = true
-	rec.upSince = t
-	rec.lAtUp = a.l[self]
+	a.recFlags[slot] |= recUp
+	a.recSince[slot] = t
+	a.recLAtUp[slot] = a.l[self]
 	if t == 0 {
 		// Paper convention: edges present at time 0 populate all neighbor
 		// sets immediately (N^s_u(0) = N_u(0) for all s).
-		rec.preInserted = true
-		rec.haveTimes = false
+		a.recFlags[slot] |= recPreInserted
+		a.recFlags[slot] &^= recHaveTimes
 		return
 	}
 	if self < peer { // leader of the edge
-		a.scheduleLeaderCheck(self, rec, t)
+		a.scheduleLeaderCheck(self, slot, t)
 	}
 }
 
 // OnEdgeDown implements runner.Algorithm: the node removes the peer from all
 // neighbor sets and forgets the insertion times (T_s := ⊥, Listing 1).
-func (a *Algorithm) OnEdgeDown(self, peer int, t sim.Time) {
-	if !a.refLayout {
-		a.onEdgeDownSlot(self, peer)
-		return
-	}
-	rec, ok := a.edges[self][peer]
+func (a *Algorithm) OnEdgeDown(self, peer int, _ sim.Time) {
+	slot, ok := a.rows.Find(self, int32(peer))
 	if !ok {
 		return
 	}
-	rec.up = false
-	rec.preInserted = false
-	rec.haveTimes = false
-	rec.decaying = false
-	a.rt.Engine.Cancel(rec.check) // stale or zero handles are safe no-ops
-	rec.check = 0
+	a.recFlags[slot] &^= recUp | recPreInserted | recHaveTimes | recDecaying
+	a.rt.Engine.Cancel(a.recCheck[slot]) // stale or zero handles are safe no-ops
+	a.recCheck[slot] = 0
 }
 
 // scheduleLeaderCheck waits at least Δ and until the edge has been visible
 // for a logical duration of (1+ρ)(1+µ)Δ, then agrees insertion times with
-// the peer (Listing 1 lines 4–10).
-func (a *Algorithm) scheduleLeaderCheck(self int, rec *edgeRec, discovered sim.Time) {
-	delta := a.handshakeDelta(rec)
+// the peer (Listing 1 lines 4–10). The attempt closure captures
+// (self, slot): slots are stable for the record's lifetime.
+func (a *Algorithm) scheduleLeaderCheck(self int, slot int32, discovered sim.Time) {
+	cls := &a.classes[a.recClass[slot]]
+	delta := a.handshakeDelta(cls.delay, cls.tau)
 	needLogical := (1 + a.p.Rho) * (1 + a.p.Mu) * delta
 	var attempt func(t sim.Time)
 	attempt = func(t sim.Time) {
-		rec.check = 0
-		if !rec.up || rec.upSince != discovered {
+		a.recCheck[slot] = 0
+		if a.recFlags[slot]&recUp == 0 || a.recSince[slot] != discovered {
 			a.HandshakeAborts++
 			return
 		}
-		if gap := needLogical - (a.l[self] - rec.lAtUp); gap > 0 {
+		if gap := needLogical - (a.l[self] - a.recLAtUp[slot]); gap > 0 {
 			// Logical window not yet covered; retry once it surely is
 			// (logical clocks advance at rate ≥ 1−ρ).
-			rec.check = a.rt.Engine.After(gap/(1-a.p.Rho)+a.rt.Tick(), attempt)
+			a.recCheck[slot] = a.rt.Engine.After(gap/(1-a.p.Rho)+a.rt.Tick(), attempt)
 			return
 		}
 		g := a.gTilde(self, t)
-		lIns := a.l[self] + g + (1+a.p.Rho)*(1+a.p.Mu)*rec.delay
-		a.rt.Net.SendControl(self, rec.peer, insertEdgeMsg{LIns: lIns, GTilde: g})
-		a.computeInsertionTimes(self, rec, lIns, g)
+		lIns := a.l[self] + g + (1+a.p.Rho)*(1+a.p.Mu)*a.classes[a.recClass[slot]].delay
+		a.rt.Net.SendControl(self, int(a.recPeer[slot]), insertEdgeMsg{LIns: lIns, GTilde: g})
+		a.computeInsertionTimes(slot, lIns, g)
 	}
-	rec.check = a.rt.Engine.After(delta, attempt)
+	a.recCheck[slot] = a.rt.Engine.After(delta, attempt)
 }
 
 // OnControl implements runner.Algorithm; handles insertedge messages
@@ -388,154 +267,86 @@ func (a *Algorithm) OnControl(to, from int, payload any, d transport.Delivery) {
 	if !ok {
 		return
 	}
-	if !a.refLayout {
-		a.onControlSlot(to, from, msg, d)
-		return
-	}
-	rec, okRec := a.edges[to][from]
-	if !okRec || !rec.up {
+	slot, ok := a.rows.Find(to, int32(from))
+	if !ok || a.recFlags[slot]&recUp == 0 {
 		a.HandshakeAborts++
 		return
 	}
-	discovered := rec.upSince
-	minWait := rec.delay + rec.tau
-	maxWait := a.handshakeDelta(rec) - rec.tau
+	cls := &a.classes[a.recClass[slot]]
+	discovered := a.recSince[slot]
+	minWait := cls.delay + cls.tau
+	maxWait := a.handshakeDelta(cls.delay, cls.tau) - cls.tau
 	needLogical := (1 + a.p.Rho) * (1 + a.p.Mu) * minWait
 	received := d.At
 	var attempt func(t sim.Time)
 	attempt = func(t sim.Time) {
-		rec.check = 0
-		if !rec.up || rec.upSince != discovered {
+		a.recCheck[slot] = 0
+		if a.recFlags[slot]&recUp == 0 || a.recSince[slot] != discovered {
 			a.HandshakeAborts++
 			return
 		}
-		if a.l[to]-rec.lAtUp >= needLogical {
-			a.computeInsertionTimes(to, rec, msg.LIns, msg.GTilde)
+		if a.l[to]-a.recLAtUp[slot] >= needLogical {
+			a.computeInsertionTimes(slot, msg.LIns, msg.GTilde)
 			return
 		}
 		if t-received < maxWait {
-			rec.check = a.rt.Engine.After(a.rt.Tick(), attempt)
+			a.recCheck[slot] = a.rt.Engine.After(a.rt.Tick(), attempt)
 			return
 		}
 		a.HandshakeAborts++
 	}
-	rec.check = a.rt.Engine.After(minWait, attempt)
+	a.recCheck[slot] = a.rt.Engine.After(minWait, attempt)
 }
 
 // computeInsertionTimes is Listing 2 (or, for InsertDecaying, the start of
 // the §5.5 weight-decay schedule).
-func (a *Algorithm) computeInsertionTimes(self int, rec *edgeRec, lIns, g float64) {
+func (a *Algorithm) computeInsertionTimes(slot int32, lIns, g float64) {
+	cls := &a.classes[a.recClass[slot]]
 	if a.p.Insertion == InsertDecaying {
-		rec.t0 = lIns
-		rec.insDur = 0
-		rec.kappa0 = g + 4*rec.kappa
-		rec.decaying = true
-		rec.haveTimes = true
+		a.recT0[slot] = lIns
+		a.recInsDur[slot] = 0
+		a.recKappa0[slot] = g + 4*cls.kappa
+		a.recFlags[slot] |= recDecaying | recHaveTimes
 		a.Insertions++
 		return
 	}
 	var insDur float64
 	switch a.p.Insertion {
 	case InsertDynamic:
-		insDur = analysis.InsertionDurationDynamic(g, a.p.Mu, a.p.Rho, a.p.B, rec.delay, rec.tau)
-		rec.dynamicGrid = true
+		insDur = analysis.InsertionDurationDynamic(g, a.p.Mu, a.p.Rho, a.p.B, cls.delay, cls.tau)
+		a.recFlags[slot] |= recDynamicGrid
 	case InsertCustom:
 		insDur = a.p.InsertionFactor * g / a.p.Mu
-		rec.dynamicGrid = false
+		a.recFlags[slot] &^= recDynamicGrid
 	default:
 		insDur = analysis.InsertionDurationStatic(g, a.p.Mu, a.p.Rho)
-		rec.dynamicGrid = false
+		a.recFlags[slot] &^= recDynamicGrid
 	}
-	rec.t0 = analysis.InsertionBase(lIns, insDur)
-	rec.insDur = insDur
-	rec.haveTimes = true
+	a.recT0[slot] = analysis.InsertionBase(lIns, insDur)
+	a.recInsDur[slot] = insDur
+	a.recFlags[slot] |= recHaveTimes
 	a.Insertions++
-}
-
-// kappaAt returns the edge weight at local logical time l: the static κ_e,
-// or the decaying weight during a §5.5-style insertion.
-func (a *Algorithm) kappaAt(rec *edgeRec, l float64) float64 {
-	if !rec.decaying || l <= rec.t0 {
-		if rec.decaying {
-			return rec.kappa0
-		}
-		return rec.kappa
-	}
-	k := rec.kappa0 - (l-rec.t0)*a.p.DecayRate*a.p.Mu
-	if k <= rec.kappa {
-		// Decay finished: the edge behaves like a fully inserted one.
-		rec.decaying = false
-		return rec.kappa
-	}
-	return k
-}
-
-// deltaAt returns the slow-trigger slack for the current weight.
-func (a *Algorithm) deltaAt(rec *edgeRec, kappa float64) float64 {
-	if kappa == rec.kappa {
-		return rec.delta
-	}
-	_, hi := analysis.DeltaRange(kappa, rec.eps, rec.tau, a.p.Mu)
-	return a.deltaFraction * hi
-}
-
-// level returns the highest s such that the peer is in N^s_self, per the
-// implicit representation of Section 4.3.2.
-func (a *Algorithm) level(self int, rec *edgeRec) int {
-	switch {
-	case !rec.up:
-		return 0
-	case rec.preInserted:
-		return analysis.InfLevel
-	case !rec.haveTimes:
-		return 0
-	case rec.decaying || a.p.Insertion == InsertDecaying && rec.insDur == 0:
-		// §5.5 strategy: in all neighbor sets as soon as the agreed logical
-		// start time is reached; safety comes from the inflated weight.
-		if a.l[self] >= rec.t0 {
-			return analysis.InfLevel
-		}
-		return 0
-	case rec.dynamicGrid:
-		return analysis.LevelAtDynamic(a.l[self], rec.t0, rec.insDur)
-	default:
-		return analysis.LevelAt(a.l[self], rec.t0, rec.insDur)
-	}
 }
 
 // EdgeLevel exposes the level of edge {u,v} as seen by u (for metrics and
 // legality snapshots). Zero when the edge is down or not yet inserted.
 func (a *Algorithm) EdgeLevel(u, v int) int {
-	if !a.refLayout {
-		slot, ok := a.rows.Find(u, int32(v))
-		if !ok {
-			return 0
-		}
-		return a.levelSlot(u, slot)
-	}
-	rec, ok := a.edges[u][v]
+	slot, ok := a.rows.Find(u, int32(v))
 	if !ok {
 		return 0
 	}
-	return a.level(u, rec)
+	return a.level(u, slot)
 }
 
 // EdgeKappa returns the current weight κ of edge {u,v} as seen by u (0 if
 // unknown). During a decaying-weight insertion this is the inflated,
 // shrinking weight; otherwise the static κ_e.
 func (a *Algorithm) EdgeKappa(u, v int) float64 {
-	if !a.refLayout {
-		slot, ok := a.rows.Find(u, int32(v))
-		if !ok {
-			return 0
-		}
-		return a.kappaAtSlot(slot, a.classes[a.recClass[slot]].kappa, a.l[u])
-	}
-	rec, ok := a.edges[u][v]
+	slot, ok := a.rows.Find(u, int32(v))
 	if !ok {
 		return 0
 	}
-	return a.kappaAt(rec, a.l[u])
+	return a.kappaAt(slot, a.classes[a.recClass[slot]].kappa, a.l[u])
 }
 
 // OnBeacon implements runner.Algorithm: max-estimate flooding. The receiver
@@ -554,18 +365,6 @@ func (a *Algorithm) OnBeacon(to, from int, b transport.Beacon, d transport.Deliv
 	}
 }
 
-// edgeEval caches per-edge values for one reference trigger evaluation. It
-// holds plain values (not a record pointer) so the reference double loop
-// runs unchanged on either edge-record layout.
-type edgeEval struct {
-	level int
-	est   float64
-	kappa float64
-	delta float64
-	eps   float64
-	tau   float64
-}
-
 // Step implements runner.Algorithm: first decide every node's mode from the
 // pre-tick state (Listing 3), then integrate clocks and max estimates.
 //
@@ -576,17 +375,11 @@ type edgeEval struct {
 // and per-shard counters; after the barrier, the integrate phase touches
 // disjoint l/m ranges. Both fan out through the runtime's ParallelTick, so
 // results are byte-identical for every TickParallelism — pinned by the
-// differential tests in parallel_tick_test.go. The reference trigger path
-// stays serial: it shares one evals scratch buffer across nodes.
+// differential tests in parallel_tick_test.go.
 func (a *Algorithm) Step(_ sim.Time, dH []float64) {
 	a.dHTick = dH
-	if a.refTriggers {
-		a.decideShard(0, 0, a.n)
-		a.integrateShard(0, 0, a.n)
-	} else {
-		a.rt.ParallelTick(a.n, a.decideFn)
-		a.rt.ParallelTick(a.n, a.integrateFn)
-	}
+	a.rt.ParallelTick(a.n, a.decideFn)
+	a.rt.ParallelTick(a.n, a.integrateFn)
 	a.mergeCounters()
 }
 
@@ -631,10 +424,8 @@ func (a *Algorithm) mergeCounters() {
 }
 
 // CanStepNodes implements runner.NodeStepper: per-node tick application is
-// available on the production trigger engine. The reference double loop
-// shares one evals scratch buffer across nodes, so it cannot step nodes
-// concurrently and keeps tick crossing disabled.
-func (a *Algorithm) CanStepNodes() bool { return !a.refTriggers }
+// always available — the decide phase reads only the deciding node's state.
+func (a *Algorithm) CanStepNodes() bool { return true }
 
 // StepNode implements runner.NodeStepper: decide-then-integrate for one node
 // whose tick is being applied lazily inside a tick-crossing event window.
@@ -678,6 +469,13 @@ func (a *Algorithm) FinishTick() {
 // shard counters.
 func (a *Algorithm) decideMode(u int, c *modeCounters) float64 {
 	fast, slow := a.evalTriggers(u, c)
+	return a.modeFor(u, fast, slow, c)
+}
+
+// modeFor is Listing 3's mode rule given node u's trigger outcomes: the
+// gradient triggers take precedence, then the max-estimate triggers, and
+// in the free region between them the node keeps its current mode.
+func (a *Algorithm) modeFor(u int, fast, slow bool, c *modeCounters) float64 {
 	if fast && slow {
 		c.conflicts++
 	}
@@ -715,55 +513,51 @@ func (a *Algorithm) decideMode(u int, c *modeCounters) float64 {
 // (lvl ≥ s) is itself downward closed — so each edge witnesses (or blocks)
 // exactly the levels s = 1..s_w for some per-edge threshold s_w derived from
 // its (est, κ, δ, ε, τ) tuple. The per-level witness/blocked aggregates the
-// reference double loop rebuilds for every s therefore collapse to prefix
+// literal double loop over every level s rebuilds therefore collapse to prefix
 // maxima: one integer per condition. "∃s ≤ top: witness(s) ∧ ¬blocked(s)"
 // becomes W > B, because witness(s) ⇔ s ≤ W and blocked(s) ⇔ s ≤ B, and
 // W never exceeds top (each threshold is clamped by min(level, sMax)).
 //
 // The thresholds are seeded by inverting the inequalities and pinned to the
-// exact floating-point comparisons of the reference loop by the fix-up steps
-// in the *Level helpers, so the decisions are bit-identical — enforced by
-// the differential and fuzz tests in trigger_test.go.
+// exact floating-point comparisons of that loop by the fix-up steps in the
+// *Level helpers, so the decisions are bit-identical — enforced by the
+// differential and fuzz tests in trigger_test.go, which keep the double loop
+// as a test-only oracle.
 func (a *Algorithm) evalTriggers(u int, c *modeCounters) (fast, slow bool) {
-	if a.refTriggers {
-		return a.evalTriggersRef(u, c)
-	}
-	if !a.refLayout {
-		return a.evalTriggersSlot(u, c)
-	}
 	lu := a.l[u]
 	var fw, fb, sw, sb int // prefix maxima: fast/slow × witness/blocked
-	for _, peer := range a.peers[u] {
-		rec := a.edges[u][peer]
-		if !rec.up {
+	peers, slots := a.rows.Row(u)
+	for i, slot := range slots {
+		if a.recFlags[slot]&recUp == 0 {
 			continue
 		}
-		lvl := a.level(u, rec)
+		lvl := a.level(u, slot)
 		if lvl < 1 {
 			continue
 		}
-		est, ok := a.rt.Est.Estimate(u, rec.peer)
+		est, ok := a.rt.Est.Estimate(u, int(peers[i]))
 		if !ok {
 			c.missing++
 			continue
 		}
-		kappa := a.kappaAt(rec, lu)
-		delta := a.deltaAt(rec, kappa)
+		cls := &a.classes[a.recClass[slot]]
+		kappa := a.kappaAt(slot, cls.kappa, lu)
+		delta := a.deltaAt(cls, kappa)
 		top := lvl
 		if top > a.sMax {
 			top = a.sMax
 		}
 		ahead, behind := est-lu, lu-est
-		if w := fastWitnessLevel(ahead, kappa, rec.eps, top); w > fw {
+		if w := fastWitnessLevel(ahead, kappa, cls.eps, top); w > fw {
 			fw = w
 		}
-		if b := a.fastBlockedLevel(behind, kappa, rec.eps, rec.tau, top); b > fb {
+		if b := a.fastBlockedLevel(behind, kappa, cls.eps, cls.tau, top); b > fb {
 			fb = b
 		}
-		if w := slowWitnessLevel(behind, kappa, delta, rec.eps, top); w > sw {
+		if w := slowWitnessLevel(behind, kappa, delta, cls.eps, top); w > sw {
 			sw = w
 		}
-		if b := a.slowBlockedLevel(ahead, kappa, delta, rec.eps, rec.tau, top); b > sb {
+		if b := a.slowBlockedLevel(ahead, kappa, delta, cls.eps, cls.tau, top); b > sb {
 			sb = b
 		}
 	}
@@ -772,7 +566,7 @@ func (a *Algorithm) evalTriggers(u int, c *modeCounters) (fast, slow bool) {
 
 // seedLevel clamps a real-valued threshold guess into [0, top]. The guess
 // only has to be near the true threshold — the fix-up loops in the callers
-// establish exactness against the reference comparisons.
+// establish exactness against the literal per-level comparisons.
 func seedLevel(q float64, top int) int {
 	if !(q > 0) { // also catches NaN
 		return 0
@@ -835,131 +629,4 @@ func (a *Algorithm) slowBlockedLevel(ahead, kappa, delta, eps, tau float64, top 
 		s--
 	}
 	return s
-}
-
-// evalTriggersRef is the retained reference: gather per-edge values, then
-// scan every level s with the literal double loops. Kept as the oracle the
-// single-pass engine is differentially tested against; the gather step
-// branches on the edge-record layout, the double loops do not. It shares
-// the evals scratch across nodes, which is why Step keeps the reference
-// path serial.
-func (a *Algorithm) evalTriggersRef(u int, c *modeCounters) (fast, slow bool) {
-	a.evals = a.evals[:0]
-	maxLevel := 0
-	if a.refLayout {
-		for _, peer := range a.peers[u] {
-			rec := a.edges[u][peer]
-			if !rec.up {
-				continue
-			}
-			lvl := a.level(u, rec)
-			if lvl < 1 {
-				continue
-			}
-			est, ok := a.rt.Est.Estimate(u, rec.peer)
-			if !ok {
-				c.missing++
-				continue
-			}
-			kappa := a.kappaAt(rec, a.l[u])
-			a.evals = append(a.evals, edgeEval{
-				level: lvl, est: est,
-				kappa: kappa, delta: a.deltaAt(rec, kappa),
-				eps: rec.eps, tau: rec.tau,
-			})
-			if lvl > maxLevel {
-				maxLevel = lvl
-			}
-		}
-	} else {
-		peers, slots := a.rows.Row(u)
-		for i, slot := range slots {
-			if a.recFlags[slot]&recUp == 0 {
-				continue
-			}
-			lvl := a.levelSlot(u, slot)
-			if lvl < 1 {
-				continue
-			}
-			est, ok := a.rt.Est.Estimate(u, int(peers[i]))
-			if !ok {
-				c.missing++
-				continue
-			}
-			cls := &a.classes[a.recClass[slot]]
-			kappa := a.kappaAtSlot(slot, cls.kappa, a.l[u])
-			a.evals = append(a.evals, edgeEval{
-				level: lvl, est: est,
-				kappa: kappa, delta: a.deltaAtClass(cls, kappa),
-				eps: cls.eps, tau: cls.tau,
-			})
-			if lvl > maxLevel {
-				maxLevel = lvl
-			}
-		}
-	}
-	return a.fastTriggerRef(u, maxLevel), a.slowTriggerRef(u, maxLevel)
-}
-
-// fastTriggerRef is Definition 4.5: ∃s with a level-s neighbor ahead by
-// ≥ s·κ − ε while no level-s neighbor is behind by > s·κ + 2µτ + ε.
-func (a *Algorithm) fastTriggerRef(u, maxLevel int) bool {
-	lu := a.l[u]
-	top := a.sMax
-	if maxLevel < top {
-		top = maxLevel
-	}
-	for s := 1; s <= top; s++ {
-		fs := float64(s)
-		witness, blocked := false, false
-		for i := range a.evals {
-			ev := &a.evals[i]
-			if ev.level < s {
-				continue
-			}
-			if ev.est-lu >= fs*ev.kappa-ev.eps {
-				witness = true
-			}
-			if lu-ev.est > fs*ev.kappa+2*a.p.Mu*ev.tau+ev.eps {
-				blocked = true
-				break
-			}
-		}
-		if witness && !blocked {
-			return true
-		}
-	}
-	return false
-}
-
-// slowTriggerRef is Definition 4.6: ∃s with a level-s neighbor behind by
-// ≥ (s+½)κ − δ − ε while no level-s neighbor is ahead by
-// > (s+½)κ + δ + ε + µ(1+ρ)τ.
-func (a *Algorithm) slowTriggerRef(u, maxLevel int) bool {
-	lu := a.l[u]
-	top := a.sMax
-	if maxLevel < top {
-		top = maxLevel
-	}
-	for s := 1; s <= top; s++ {
-		fs := float64(s) + 0.5
-		witness, blocked := false, false
-		for i := range a.evals {
-			ev := &a.evals[i]
-			if ev.level < s {
-				continue
-			}
-			if lu-ev.est >= fs*ev.kappa-ev.delta-ev.eps {
-				witness = true
-			}
-			if ev.est-lu > fs*ev.kappa+ev.delta+ev.eps+a.p.Mu*(1+a.p.Rho)*ev.tau {
-				blocked = true
-				break
-			}
-		}
-		if witness && !blocked {
-			return true
-		}
-	}
-	return false
 }

@@ -27,10 +27,12 @@ func testParams() Params {
 }
 
 // harness wires a runtime with AOPT and oracle estimates over a declared
-// (but not yet visible) topology.
+// (but not yet visible) topology. hosted is what the runtime drives: algo
+// itself, or a test-only shadow wrapping it.
 type harness struct {
-	rt   *runner.Runtime
-	algo *Algorithm
+	rt     *runner.Runtime
+	algo   *Algorithm
+	hosted runner.Algorithm
 }
 
 func newHarness(t *testing.T, n int, edges []topo.EdgeID, p Params, ds drift.Schedule) *harness {
@@ -57,8 +59,7 @@ func newHarness(t *testing.T, n int, edges []topo.EdgeID, p Params, ds drift.Sch
 	}
 	rt.SetEstimator(estimate.NewOracle(rt.Dyn, func(u int) float64 { return algo.Logical(u) },
 		estimate.RandomError{RNG: sim.NewRNG(3)}))
-	rt.Attach(algo)
-	return &harness{rt: rt, algo: algo}
+	return attach(rt, algo, nil)
 }
 
 func (h *harness) appearAll(t *testing.T, edges []topo.EdgeID) {
@@ -293,7 +294,8 @@ func TestNeighborSetMonotonicity(t *testing.T) {
 	// Lemma 5.1: N^s ⊆ N^{s−1} — with the implicit representation this
 	// means the level function of each edge is single-valued and membership
 	// at level s implies membership at all lower levels; check via
-	// NeighborLevels being well defined and positive while inserted.
+	// AppendNeighborLevels listing each visible peer once, in ascending
+	// order, at a positive level while inserted.
 	edges := topo.Line(3)
 	h := newHarness(t, 3, edges, testParams(), drift.Perfect())
 	h.appearAll(t, edges)
@@ -301,13 +303,13 @@ func TestNeighborSetMonotonicity(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.rt.Run(5)
-	lv := h.algo.NeighborLevels(1)
-	if len(lv) != 2 {
-		t.Fatalf("node 1 levels = %v, want 2 neighbors", lv)
+	lv := h.algo.AppendNeighborLevels(1, nil)
+	if len(lv) != 2 || lv[0].Peer != 0 || lv[1].Peer != 2 {
+		t.Fatalf("node 1 levels = %v, want peers 0 and 2", lv)
 	}
-	for peer, l := range lv {
-		if l != analysis.InfLevel {
-			t.Errorf("peer %d level = %d, want InfLevel", peer, l)
+	for _, nl := range lv {
+		if nl.Level != analysis.InfLevel {
+			t.Errorf("peer %d level = %d, want InfLevel", nl.Peer, nl.Level)
 		}
 	}
 }

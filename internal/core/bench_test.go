@@ -62,10 +62,8 @@ func BenchmarkCoreStep(b *testing.B) {
 	}
 }
 
-// BenchmarkNeighborLevels measures per-node level sampling through the
-// append-into-slice variant with a reused scratch buffer; 0 allocs/op. The
-// map-returning NeighborLevels allocates on every call and must stay off
-// per-tick paths.
+// BenchmarkNeighborLevels measures per-node level sampling through
+// AppendNeighborLevels with a reused scratch buffer; 0 allocs/op.
 func BenchmarkNeighborLevels(b *testing.B) {
 	rt, algo := benchRuntime(b)
 	var scratch []core.NeighborLevel

@@ -40,36 +40,15 @@ type NeighborLevel struct {
 
 // AppendNeighborLevels appends the level of every visible edge at node u to
 // dst in ascending peer order and returns the slice. With a reused scratch
-// buffer it is allocation-free (pinned by BenchmarkNeighborLevels); callers
-// that sample levels every tick must use this instead of NeighborLevels.
+// buffer it is allocation-free (pinned by BenchmarkNeighborLevels).
 func (a *Algorithm) AppendNeighborLevels(u int, dst []NeighborLevel) []NeighborLevel {
-	if a.refLayout {
-		for _, peer := range a.peers[u] {
-			rec := a.edges[u][peer]
-			if rec.up {
-				dst = append(dst, NeighborLevel{Peer: peer, Level: a.level(u, rec)})
-			}
-		}
-		return dst
-	}
 	peers, slots := a.rows.Row(u)
 	for i, slot := range slots {
 		if a.recFlags[slot]&recUp != 0 {
-			dst = append(dst, NeighborLevel{Peer: int(peers[i]), Level: a.levelSlot(u, slot)})
+			dst = append(dst, NeighborLevel{Peer: int(peers[i]), Level: a.level(u, slot)})
 		}
 	}
 	return dst
-}
-
-// NeighborLevels reports, for diagnostics, the level of every visible edge
-// at node u as a peer→level map. It allocates the map (and, transiently,
-// the pair slice) on every call — use AppendNeighborLevels on hot paths.
-func (a *Algorithm) NeighborLevels(u int) map[int]int {
-	out := make(map[int]int)
-	for _, nl := range a.AppendNeighborLevels(u, nil) {
-		out[nl.Peer] = nl.Level
-	}
-	return out
 }
 
 // InsertionInfo exposes the agreed insertion schedule of edge {u,v} as seen

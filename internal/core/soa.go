@@ -1,27 +1,25 @@
 package core
 
 // The structure-of-arrays edge-record layout (DESIGN.md §Structure-of-arrays
-// layout). Every directed edge record the reference layout keeps as a
-// *edgeRec behind two map probes lives here as one int32 slot into parallel
-// slabs: the mutable per-record floats (upSince, lAtUp, T₀, I, κ₀), one
-// flags byte, the pending handshake handle, and an index into an interned
-// class table holding the five derived constants (ε, τ, T, κ, δ) — which are
-// shared by every edge with the same link parameters, so a ring with uniform
-// links stores them once instead of 40 bytes per record. rows maps
-// (node, peer) → slot with peers pre-sorted, so the per-tick trigger fold
-// streams contiguous slabs in the exact iteration order the reference's
-// sorted peers slice produced.
+// layout). Every directed edge record is one int32 slot into parallel slabs:
+// the mutable per-record floats (upSince, lAtUp, T₀, I, κ₀), one flags byte,
+// the pending handshake handle, and an index into an interned class table
+// holding the five derived constants (ε, τ, T, κ, δ) — which are shared by
+// every edge with the same link parameters, so a ring with uniform links
+// stores them once instead of 40 bytes per record. rows maps (node, peer) →
+// slot with peers pre-sorted, so the per-tick trigger fold streams contiguous
+// slabs in ascending peer order (the estimate layer's RNG draw order).
 //
-// Record slots are append-only: like the reference map entries, records
-// persist across edge-down (the paper's T_s := ⊥ is a flags clear, not a
-// removal), so no free list is needed here — topo owns undeclare-level
-// lifecycle. Every float expression below mirrors its reference counterpart
-// operation-for-operation; the full-run differential tests pin the layouts
-// byte-identical.
+// Record slots are append-only: records persist across edge-down (the
+// paper's T_s := ⊥ is a flags clear, not a removal), so no free list is
+// needed here — topo owns undeclare-level lifecycle. The retired
+// map-of-pointers layout survives as the test-only shadow in
+// layout_shadow_test.go; the full-run differential there pins this layout to
+// it byte for byte.
 //
-// Concurrency: the decide phase runs evalTriggersSlot concurrently for
-// distinct nodes. Rows and slabs are only read there, except the recFlags
-// decay-expiry clear in kappaAtSlot — a single-byte write to a slot owned by
+// Concurrency: the decide phase runs evalTriggers concurrently for distinct
+// nodes. Rows and slabs are only read there, except the recFlags
+// decay-expiry clear in kappaAt — a single-byte write to a slot owned by
 // the evaluating node (distinct bytes are distinct memory locations in the
 // Go memory model, so adjacent slots on one word do not race). Structural
 // growth (ensureSlot) happens only in edge-up events, which are serial.
@@ -29,7 +27,6 @@ package core
 import (
 	"repro/internal/analysis"
 	"repro/internal/sim"
-	"repro/internal/transport"
 )
 
 // recFlags bits.
@@ -96,134 +93,10 @@ func (a *Algorithm) ensureSlot(u, v int) (int32, bool) {
 	return slot, true
 }
 
-// onEdgeUpSlot is OnEdgeUp on the slab layout.
-func (a *Algorithm) onEdgeUpSlot(self, peer int, t sim.Time) {
-	slot, ok := a.ensureSlot(self, peer)
-	if !ok {
-		return
-	}
-	a.recFlags[slot] |= recUp
-	a.recSince[slot] = t
-	a.recLAtUp[slot] = a.l[self]
-	if t == 0 {
-		// Paper convention: edges present at time 0 populate all neighbor
-		// sets immediately (N^s_u(0) = N_u(0) for all s).
-		a.recFlags[slot] |= recPreInserted
-		a.recFlags[slot] &^= recHaveTimes
-		return
-	}
-	if self < peer { // leader of the edge
-		a.scheduleLeaderCheckSlot(self, slot, t)
-	}
-}
-
-// onEdgeDownSlot is OnEdgeDown on the slab layout.
-func (a *Algorithm) onEdgeDownSlot(self, peer int) {
-	slot, ok := a.rows.Find(self, int32(peer))
-	if !ok {
-		return
-	}
-	a.recFlags[slot] &^= recUp | recPreInserted | recHaveTimes | recDecaying
-	a.rt.Engine.Cancel(a.recCheck[slot]) // stale or zero handles are safe no-ops
-	a.recCheck[slot] = 0
-}
-
-// scheduleLeaderCheckSlot mirrors scheduleLeaderCheck: wait at least Δ and
-// until the edge has been visible for a logical duration of (1+ρ)(1+µ)Δ,
-// then agree insertion times with the peer (Listing 1 lines 4–10). The
-// attempt closure captures (self, slot) instead of a record pointer.
-func (a *Algorithm) scheduleLeaderCheckSlot(self int, slot int32, discovered sim.Time) {
-	cls := &a.classes[a.recClass[slot]]
-	delta := a.handshakeDeltaVals(cls.delay, cls.tau)
-	needLogical := (1 + a.p.Rho) * (1 + a.p.Mu) * delta
-	var attempt func(t sim.Time)
-	attempt = func(t sim.Time) {
-		a.recCheck[slot] = 0
-		if a.recFlags[slot]&recUp == 0 || a.recSince[slot] != discovered {
-			a.HandshakeAborts++
-			return
-		}
-		if gap := needLogical - (a.l[self] - a.recLAtUp[slot]); gap > 0 {
-			// Logical window not yet covered; retry once it surely is
-			// (logical clocks advance at rate ≥ 1−ρ).
-			a.recCheck[slot] = a.rt.Engine.After(gap/(1-a.p.Rho)+a.rt.Tick(), attempt)
-			return
-		}
-		g := a.gTilde(self, t)
-		lIns := a.l[self] + g + (1+a.p.Rho)*(1+a.p.Mu)*a.classes[a.recClass[slot]].delay
-		a.rt.Net.SendControl(self, int(a.recPeer[slot]), insertEdgeMsg{LIns: lIns, GTilde: g})
-		a.computeInsertionTimesSlot(slot, lIns, g)
-	}
-	a.recCheck[slot] = a.rt.Engine.After(delta, attempt)
-}
-
-// onControlSlot mirrors the OnControl handshake follower path (Listing 1
-// lines 11–14) on the slab layout.
-func (a *Algorithm) onControlSlot(to, from int, msg insertEdgeMsg, d transport.Delivery) {
-	slot, ok := a.rows.Find(to, int32(from))
-	if !ok || a.recFlags[slot]&recUp == 0 {
-		a.HandshakeAborts++
-		return
-	}
-	cls := &a.classes[a.recClass[slot]]
-	discovered := a.recSince[slot]
-	minWait := cls.delay + cls.tau
-	maxWait := a.handshakeDeltaVals(cls.delay, cls.tau) - cls.tau
-	needLogical := (1 + a.p.Rho) * (1 + a.p.Mu) * minWait
-	received := d.At
-	var attempt func(t sim.Time)
-	attempt = func(t sim.Time) {
-		a.recCheck[slot] = 0
-		if a.recFlags[slot]&recUp == 0 || a.recSince[slot] != discovered {
-			a.HandshakeAborts++
-			return
-		}
-		if a.l[to]-a.recLAtUp[slot] >= needLogical {
-			a.computeInsertionTimesSlot(slot, msg.LIns, msg.GTilde)
-			return
-		}
-		if t-received < maxWait {
-			a.recCheck[slot] = a.rt.Engine.After(a.rt.Tick(), attempt)
-			return
-		}
-		a.HandshakeAborts++
-	}
-	a.recCheck[slot] = a.rt.Engine.After(minWait, attempt)
-}
-
-// computeInsertionTimesSlot is Listing 2 (or the §5.5 weight-decay start)
-// on the slab layout.
-func (a *Algorithm) computeInsertionTimesSlot(slot int32, lIns, g float64) {
-	cls := &a.classes[a.recClass[slot]]
-	if a.p.Insertion == InsertDecaying {
-		a.recT0[slot] = lIns
-		a.recInsDur[slot] = 0
-		a.recKappa0[slot] = g + 4*cls.kappa
-		a.recFlags[slot] |= recDecaying | recHaveTimes
-		a.Insertions++
-		return
-	}
-	var insDur float64
-	switch a.p.Insertion {
-	case InsertDynamic:
-		insDur = analysis.InsertionDurationDynamic(g, a.p.Mu, a.p.Rho, a.p.B, cls.delay, cls.tau)
-		a.recFlags[slot] |= recDynamicGrid
-	case InsertCustom:
-		insDur = a.p.InsertionFactor * g / a.p.Mu
-		a.recFlags[slot] &^= recDynamicGrid
-	default:
-		insDur = analysis.InsertionDurationStatic(g, a.p.Mu, a.p.Rho)
-		a.recFlags[slot] &^= recDynamicGrid
-	}
-	a.recT0[slot] = analysis.InsertionBase(lIns, insDur)
-	a.recInsDur[slot] = insDur
-	a.recFlags[slot] |= recHaveTimes
-	a.Insertions++
-}
-
-// kappaAtSlot is kappaAt on the slab layout; kappa is the slot's static
-// class weight, passed in because every caller already has the class.
-func (a *Algorithm) kappaAtSlot(slot int32, kappa, l float64) float64 {
+// kappaAt returns the weight of a slot's edge at local logical time l: the
+// static class weight kappa (passed in because every caller already has the
+// class), or the decaying weight during a §5.5-style insertion.
+func (a *Algorithm) kappaAt(slot int32, kappa, l float64) float64 {
 	if a.recFlags[slot]&recDecaying == 0 {
 		return kappa
 	}
@@ -239,8 +112,8 @@ func (a *Algorithm) kappaAtSlot(slot int32, kappa, l float64) float64 {
 	return k
 }
 
-// deltaAtClass is deltaAt on the slab layout.
-func (a *Algorithm) deltaAtClass(cls *edgeClass, kappa float64) float64 {
+// deltaAt returns the slow-trigger slack for the current weight.
+func (a *Algorithm) deltaAt(cls *edgeClass, kappa float64) float64 {
 	if kappa == cls.kappa {
 		return cls.delta
 	}
@@ -248,9 +121,9 @@ func (a *Algorithm) deltaAtClass(cls *edgeClass, kappa float64) float64 {
 	return a.deltaFraction * hi
 }
 
-// levelSlot is level (the highest s with the peer in N^s_self, per the
-// implicit representation of Section 4.3.2) on the slab layout.
-func (a *Algorithm) levelSlot(self int, slot int32) int {
+// level returns the highest s such that the slot's peer is in N^s_self, per
+// the implicit representation of Section 4.3.2.
+func (a *Algorithm) level(self int, slot int32) int {
 	flags := a.recFlags[slot]
 	switch {
 	case flags&recUp == 0:
@@ -273,52 +146,8 @@ func (a *Algorithm) levelSlot(self int, slot int32) int {
 	}
 }
 
-// evalTriggersSlot is the single-pass trigger fold (see evalTriggers) on
-// the slab layout: one contiguous scan of u's sorted adjacency row, slab
-// loads instead of map probes and pointer chases.
-func (a *Algorithm) evalTriggersSlot(u int, c *modeCounters) (fast, slow bool) {
-	lu := a.l[u]
-	var fw, fb, sw, sb int // prefix maxima: fast/slow × witness/blocked
-	peers, slots := a.rows.Row(u)
-	for i, slot := range slots {
-		if a.recFlags[slot]&recUp == 0 {
-			continue
-		}
-		lvl := a.levelSlot(u, slot)
-		if lvl < 1 {
-			continue
-		}
-		est, ok := a.rt.Est.Estimate(u, int(peers[i]))
-		if !ok {
-			c.missing++
-			continue
-		}
-		cls := &a.classes[a.recClass[slot]]
-		kappa := a.kappaAtSlot(slot, cls.kappa, lu)
-		delta := a.deltaAtClass(cls, kappa)
-		top := lvl
-		if top > a.sMax {
-			top = a.sMax
-		}
-		ahead, behind := est-lu, lu-est
-		if w := fastWitnessLevel(ahead, kappa, cls.eps, top); w > fw {
-			fw = w
-		}
-		if b := a.fastBlockedLevel(behind, kappa, cls.eps, cls.tau, top); b > fb {
-			fb = b
-		}
-		if w := slowWitnessLevel(behind, kappa, delta, cls.eps, top); w > sw {
-			sw = w
-		}
-		if b := a.slowBlockedLevel(ahead, kappa, delta, cls.eps, cls.tau, top); b > sb {
-			sb = b
-		}
-	}
-	return fw > fb, sw > sb
-}
-
-// recState is a layout-independent snapshot of one directed edge record,
-// for tests and diagnostics.
+// recState is a snapshot of one directed edge record, for tests and
+// diagnostics.
 type recState struct {
 	up, preInserted, haveTimes, decaying bool
 	upSince                              sim.Time
@@ -326,21 +155,8 @@ type recState struct {
 	eps, tau, delay, delta               float64
 }
 
-// recView returns the record state of edge {u,v} as seen by u on whichever
-// layout is active.
+// recView returns the record state of edge {u,v} as seen by u.
 func (a *Algorithm) recView(u, v int) (recState, bool) {
-	if a.refLayout {
-		rec, ok := a.edges[u][v]
-		if !ok {
-			return recState{}, false
-		}
-		return recState{
-			up: rec.up, preInserted: rec.preInserted, haveTimes: rec.haveTimes,
-			decaying: rec.decaying, upSince: rec.upSince,
-			t0: rec.t0, insDur: rec.insDur, kappa: rec.kappa, kappa0: rec.kappa0,
-			eps: rec.eps, tau: rec.tau, delay: rec.delay, delta: rec.delta,
-		}, true
-	}
 	slot, ok := a.rows.Find(u, int32(v))
 	if !ok {
 		return recState{}, false

@@ -15,15 +15,177 @@ import (
 )
 
 // This file pins the single-pass trigger engine (evalTriggers) to the
-// reference per-level double loop (evalTriggersRef): the two must make
-// byte-identical mode decisions, and full runs driven by either must agree
-// on every counter and every clock. The fold is only correct because each
-// trigger condition is prefix-closed in the level s — these tests are the
-// evidence that claim survives floating point.
+// literal per-level double loop of Definitions 4.5–4.6, which lives here as
+// a test-only oracle (refTriggers): the two must make byte-identical mode
+// decisions, and full runs driven by either must agree on every counter and
+// every clock. The fold is only correct because each trigger condition is
+// prefix-closed in the level s — these tests are the evidence that claim
+// survives floating point.
+
+// edgeEval caches per-edge values for one reference trigger evaluation. It
+// holds plain values (not a record) so the double loops run unchanged on
+// either edge-record layout: the production slabs or the map shadow of
+// layout_shadow_test.go.
+type edgeEval struct {
+	level int
+	est   float64
+	kappa float64
+	delta float64
+	eps   float64
+	tau   float64
+}
+
+// refEvals is the reference trigger evaluation: a node's gathered edges and
+// the literal double loops over every level s.
+type refEvals struct {
+	evals    []edgeEval
+	maxLevel int
+}
+
+func (r *refEvals) reset() {
+	r.evals = r.evals[:0]
+	r.maxLevel = 0
+}
+
+func (r *refEvals) add(ev edgeEval) {
+	r.evals = append(r.evals, ev)
+	if ev.level > r.maxLevel {
+		r.maxLevel = ev.level
+	}
+}
+
+// top is the highest level the double loops scan: the gathered maximum,
+// capped at the algorithm's sMax.
+func (r *refEvals) top(a *Algorithm) int {
+	if r.maxLevel < a.sMax {
+		return r.maxLevel
+	}
+	return a.sMax
+}
+
+// fast is Definition 4.5: ∃s with a level-s neighbor ahead by ≥ s·κ − ε
+// while no level-s neighbor is behind by > s·κ + 2µτ + ε.
+func (r *refEvals) fast(a *Algorithm, u int) bool {
+	lu := a.l[u]
+	for s := 1; s <= r.top(a); s++ {
+		fs := float64(s)
+		witness, blocked := false, false
+		for i := range r.evals {
+			ev := &r.evals[i]
+			if ev.level < s {
+				continue
+			}
+			if ev.est-lu >= fs*ev.kappa-ev.eps {
+				witness = true
+			}
+			if lu-ev.est > fs*ev.kappa+2*a.p.Mu*ev.tau+ev.eps {
+				blocked = true
+				break
+			}
+		}
+		if witness && !blocked {
+			return true
+		}
+	}
+	return false
+}
+
+// slow is Definition 4.6: ∃s with a level-s neighbor behind by
+// ≥ (s+½)κ − δ − ε while no level-s neighbor is ahead by
+// > (s+½)κ + δ + ε + µ(1+ρ)τ.
+func (r *refEvals) slow(a *Algorithm, u int) bool {
+	lu := a.l[u]
+	for s := 1; s <= r.top(a); s++ {
+		fs := float64(s) + 0.5
+		witness, blocked := false, false
+		for i := range r.evals {
+			ev := &r.evals[i]
+			if ev.level < s {
+				continue
+			}
+			if lu-ev.est >= fs*ev.kappa-ev.delta-ev.eps {
+				witness = true
+			}
+			if ev.est-lu > fs*ev.kappa+ev.delta+ev.eps+a.p.Mu*(1+a.p.Rho)*ev.tau {
+				blocked = true
+				break
+			}
+		}
+		if witness && !blocked {
+			return true
+		}
+	}
+	return false
+}
+
+// refTriggers is the production algorithm with its trigger fold replaced by
+// the reference double loop. Step runs serially because every node shares
+// one scratch buffer, which is also why CanStepNodes keeps tick crossing
+// off.
+type refTriggers struct {
+	*Algorithm
+	ref refEvals
+}
+
+func (r *refTriggers) Step(_ sim.Time, dH []float64) { refStep(r.Algorithm, dH, r.evalTriggersRef) }
+
+func (r *refTriggers) CanStepNodes() bool { return false }
+
+// evalTriggersRef gathers u's live, inserted edges from the slabs — calling
+// the estimate layer in the same order as the fold — then runs the double
+// loops.
+func (r *refTriggers) evalTriggersRef(u int, c *modeCounters) (fast, slow bool) {
+	a := r.Algorithm
+	r.ref.reset()
+	peers, slots := a.rows.Row(u)
+	for i, slot := range slots {
+		if a.recFlags[slot]&recUp == 0 {
+			continue
+		}
+		lvl := a.level(u, slot)
+		if lvl < 1 {
+			continue
+		}
+		est, ok := a.rt.Est.Estimate(u, int(peers[i]))
+		if !ok {
+			c.missing++
+			continue
+		}
+		cls := &a.classes[a.recClass[slot]]
+		kappa := a.kappaAt(slot, cls.kappa, a.l[u])
+		r.ref.add(edgeEval{
+			level: lvl, est: est,
+			kappa: kappa, delta: a.deltaAt(cls, kappa),
+			eps: cls.eps, tau: cls.tau,
+		})
+	}
+	return r.ref.fast(a, u), r.ref.slow(a, u)
+}
+
+// refStep is Algorithm.Step run serially with the given trigger evaluation:
+// every node decides from pre-tick state (Listing 3), then every node
+// integrates.
+func refStep(a *Algorithm, dH []float64, eval func(int, *modeCounters) (bool, bool)) {
+	c := &a.shardCtr[0]
+	for u := 0; u < a.n; u++ {
+		fast, slow := eval(u, c)
+		a.mult[u] = a.modeFor(u, fast, slow, c)
+	}
+	a.dHTick = dH
+	a.integrateShard(0, 0, a.n)
+	a.mergeCounters()
+}
+
+// shadowFn wraps the production algorithm in a test-only oracle before it is
+// attached; nil attaches the production algorithm itself.
+type shadowFn func(*Algorithm) runner.Algorithm
+
+func withRefTriggers(a *Algorithm) runner.Algorithm { return &refTriggers{Algorithm: a} }
 
 // triggerHarness is newHarness with a controllable seed and estimate policy,
-// so the differential runs can replay the same adversary byte for byte.
-func triggerHarness(t *testing.T, n int, edges []topo.EdgeID, p Params, seed int64, policy estimate.ErrorPolicy) *harness {
+// so the differential runs can replay the same adversary byte for byte, and
+// an optional shadow to host instead of the production algorithm.
+func triggerHarness(t *testing.T, n int, edges []topo.EdgeID, p Params, seed int64, policy estimate.ErrorPolicy, shadow shadowFn) *harness {
 	t.Helper()
 	rt, err := runner.New(runner.Config{
 		N:              n,
@@ -46,8 +208,17 @@ func triggerHarness(t *testing.T, n int, edges []topo.EdgeID, p Params, seed int
 		t.Fatal(err)
 	}
 	rt.SetEstimator(estimate.NewOracle(rt.Dyn, func(u int) float64 { return algo.Logical(u) }, policy))
-	rt.Attach(algo)
-	return &harness{rt: rt, algo: algo}
+	return attach(rt, algo, shadow)
+}
+
+// attach hosts algo — or its shadow — on rt.
+func attach(rt *runner.Runtime, algo *Algorithm, shadow shadowFn) *harness {
+	h := &harness{rt: rt, algo: algo, hosted: algo}
+	if shadow != nil {
+		h.hosted = shadow(algo)
+	}
+	rt.Attach(h.hosted)
+	return h
 }
 
 // diffTopology builds a random connected topology: a line backbone plus a
@@ -71,8 +242,9 @@ func diffTopology(n int, rng *rand.Rand) (core, extra []topo.EdgeID) {
 
 // runTriggerDifferential drives one full simulation — random topology,
 // random parameter draw, scripted churn on the chords so edges traverse the
-// whole insertion-level ladder — and returns the algorithm state.
-func runTriggerDifferential(t *testing.T, caseSeed int64, reference bool) *Algorithm {
+// whole insertion-level ladder — hosting the production algorithm or the
+// given shadow, and returns the harness.
+func runTriggerDifferential(t *testing.T, caseSeed int64, shadow shadowFn) *harness {
 	t.Helper()
 	rng := rand.New(rand.NewSource(caseSeed))
 	n := 6 + rng.Intn(8)
@@ -92,8 +264,7 @@ func runTriggerDifferential(t *testing.T, caseSeed int64, reference bool) *Algor
 		p.DecayRate = 0.5 + rng.Float64()
 	}
 	all := append(append([]topo.EdgeID(nil), core...), extra...)
-	h := triggerHarness(t, n, all, p, caseSeed^0x7157, estimate.RandomError{RNG: sim.NewRNG(caseSeed ^ 0xe57)})
-	h.algo.SetReferenceTriggers(reference)
+	h := triggerHarness(t, n, all, p, caseSeed^0x7157, estimate.RandomError{RNG: sim.NewRNG(caseSeed ^ 0xe57)}, shadow)
 	h.algo.OverrideDeltaFraction(0.1 + rng.Float64()*0.8)
 	for u := 0; u < n; u++ {
 		h.algo.SetLogical(u, rng.Float64()*p.GTilde)
@@ -118,7 +289,7 @@ func runTriggerDifferential(t *testing.T, caseSeed int64, reference bool) *Algor
 		t.Fatal(err)
 	}
 	h.rt.Run(40)
-	return h.algo
+	return h
 }
 
 // TestTriggerEngineDifferential replays randomized full runs with the
@@ -130,8 +301,8 @@ func TestTriggerEngineDifferential(t *testing.T) {
 		t.Skip("differential replays take a few seconds")
 	}
 	for caseSeed := int64(1); caseSeed <= 12; caseSeed++ {
-		fold := runTriggerDifferential(t, caseSeed, false)
-		ref := runTriggerDifferential(t, caseSeed, true)
+		fold := runTriggerDifferential(t, caseSeed, nil).algo
+		ref := runTriggerDifferential(t, caseSeed, withRefTriggers).algo
 		if fold.FastTicks != ref.FastTicks || fold.SlowTicks != ref.SlowTicks ||
 			fold.TriggerConflicts != ref.TriggerConflicts ||
 			fold.MissingEstimates != ref.MissingEstimates ||
@@ -157,7 +328,8 @@ func TestTriggerEngineDifferential(t *testing.T) {
 // Estimate calls repeatable, so both paths see identical inputs).
 func TestTriggerSinglePassMatchesReferenceOnRandomClocks(t *testing.T) {
 	edges := topo.Ring(7)
-	h := triggerHarness(t, 7, edges, testParams(), 11, estimate.Amplify{})
+	h := triggerHarness(t, 7, edges, testParams(), 11, estimate.Amplify{}, nil)
+	ref := &refTriggers{Algorithm: h.algo}
 	h.appearAll(t, edges)
 	if err := h.rt.Start(); err != nil {
 		t.Fatal(err)
@@ -169,7 +341,7 @@ func TestTriggerSinglePassMatchesReferenceOnRandomClocks(t *testing.T) {
 		var c modeCounters
 		for u := 0; u < 7; u++ {
 			fastFold, slowFold := h.algo.evalTriggers(u, &c)
-			fastRef, slowRef := h.algo.evalTriggersRef(u, &c)
+			fastRef, slowRef := ref.evalTriggersRef(u, &c)
 			if fastFold != fastRef || slowFold != slowRef {
 				t.Logf("node %d: fold (%v,%v) vs ref (%v,%v)", u, fastFold, slowFold, fastRef, slowRef)
 				return false

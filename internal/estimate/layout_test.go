@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/sim"
@@ -8,11 +9,180 @@ import (
 	"repro/internal/transport"
 )
 
-// TestMessagingLayoutDifferential drives a reference-layout and a flat-layout
-// Messaging instance through the same randomized beacon/invalidate/churn
+// This file keeps the retired map-backed sample stores of Messaging and RBS
+// as test-only shadows and pins the flat slabs to them.
+
+// refMessaging is Messaging with its handle-keyed slab replaced by a
+// peer-keyed map per node. The embedded Messaging supplies the topology,
+// configuration, hardware clocks, Eps and the Misses counter; its own slab
+// stays empty.
+type refMessaging struct {
+	*Messaging
+	samples []map[int]*sample
+}
+
+func newRefMessaging(n int, dyn *topo.Dynamic, hw func(int) float64, cfg MessagingConfig) *refMessaging {
+	r := &refMessaging{Messaging: &Messaging{dyn: dyn, cfg: cfg, hw: hw}, samples: make([]map[int]*sample, n)}
+	for i := range r.samples {
+		r.samples[i] = make(map[int]*sample)
+	}
+	return r
+}
+
+func (r *refMessaging) RecordBeacon(to, from int, b transport.Beacon, d transport.Delivery) {
+	s := sample{lSent: b.L, hwAtRecv: r.hw(to), minTransit: d.MinTransit, valid: true}
+	if x, ok := r.samples[to][from]; ok {
+		*x = s
+	} else {
+		r.samples[to][from] = &s
+	}
+}
+
+func (r *refMessaging) Invalidate(u, v int) {
+	if x := r.samples[u][v]; x != nil {
+		x.valid = false
+	}
+}
+
+func (r *refMessaging) Estimate(u, v int) (float64, bool) {
+	p, ok := r.dyn.Params(u, v)
+	if !ok || !r.dyn.Sees(u, v) {
+		return 0, false
+	}
+	x := r.samples[u][v]
+	if x == nil || !x.valid {
+		atomic.AddUint64(&r.Misses, 1)
+		return 0, false
+	}
+	ageHW := r.hw(u) - x.hwAtRecv
+	if ageHW < 0 || ageHW > maxSampleAgeHW(r.cfg, p) {
+		atomic.AddUint64(&r.Misses, 1)
+		return 0, false
+	}
+	est := advanceSample(r.cfg, x.lSent, x.minTransit, ageHW)
+	if r.cfg.Centered {
+		est += oneSidedBound(r.cfg, p) / 2
+	}
+	return est, true
+}
+
+// rbsSample is u's view of v's clock, anchored at a common broadcast event:
+// v's logical clock at v's reception, and u's hardware clock at u's own
+// reception of the same event.
+type rbsSample struct {
+	lAtEvent     float64
+	hwAtOwnEvent float64
+	valid        bool
+}
+
+// refRBS is RBS with its CSR slabs replaced by per-node maps: coListener[u][v]
+// marks pairs sharing at least one source; samples[u][v] is the latest
+// anchored sample u holds about v. The embedded RBS supplies the
+// configuration, clocks, engine, RNG, Eps and the Broadcasts counter; its
+// own rows stay empty.
+type refRBS struct {
+	*RBS
+	coListener []map[int]bool
+	samples    []map[int]*rbsSample
+}
+
+func newRefRBS(n int, engine *sim.Engine, rng *sim.RNG, hw, logical func(int) float64, groups [][]int, cfg RBSConfig) *refRBS {
+	r := &refRBS{
+		RBS:        &RBS{engine: engine, cfg: cfg, rng: rng, hw: hw, logical: logical, groups: groups},
+		coListener: make([]map[int]bool, n),
+		samples:    make([]map[int]*rbsSample, n),
+	}
+	for i := 0; i < n; i++ {
+		r.coListener[i] = make(map[int]bool)
+		r.samples[i] = make(map[int]*rbsSample)
+	}
+	for _, g := range groups {
+		for _, u := range g {
+			for _, v := range g {
+				if u != v {
+					r.coListener[u][v] = true
+				}
+			}
+		}
+	}
+	return r
+}
+
+func (r *refRBS) Start() {
+	for s := range r.groups {
+		s := s
+		offset := r.cfg.Interval * float64(s+1) / float64(len(r.groups)+1)
+		r.engine.NewTicker(offset, r.cfg.Interval, func(sim.Time, float64) { r.broadcast(s) })
+	}
+}
+
+// broadcast mirrors RBS.broadcast: the same jitter draws in the same order,
+// the exchange writing map samples instead of slab slots.
+func (r *refRBS) broadcast(s int) {
+	r.Broadcasts++
+	type reception struct {
+		node     int
+		lAtRecv  float64
+		hwAtRecv float64
+	}
+	group := r.groups[s]
+	receptions := make([]*reception, len(group))
+	for i, u := range group {
+		i, u := i, u
+		jit := 0.0
+		if r.cfg.Jitter > 0 && r.rng != nil {
+			jit = r.rng.Uniform(0, r.cfg.Jitter)
+		}
+		r.engine.After(jit, func(sim.Time) {
+			receptions[i] = &reception{node: u, lAtRecv: r.logical(u), hwAtRecv: r.hw(u)}
+		})
+	}
+	r.engine.After(r.cfg.Jitter+r.cfg.ExchangeDelay, func(sim.Time) {
+		for _, from := range receptions {
+			for _, to := range receptions {
+				if from == nil || to == nil || to.node == from.node {
+					continue
+				}
+				sm, ok := r.samples[to.node][from.node]
+				if !ok {
+					sm = &rbsSample{}
+					r.samples[to.node][from.node] = sm
+				}
+				*sm = rbsSample{lAtEvent: from.lAtRecv, hwAtOwnEvent: to.hwAtRecv, valid: true}
+			}
+		}
+	})
+}
+
+func (r *refRBS) Estimate(u, v int) (float64, bool) {
+	if !r.coListener[u][v] {
+		return 0, false
+	}
+	sm, ok := r.samples[u][v]
+	if !ok || !sm.valid {
+		return 0, false
+	}
+	rho := r.cfg.Rho
+	ageHW := r.hw(u) - sm.hwAtOwnEvent
+	if ageHW < 0 || ageHW > r.maxSampleAgeHW() {
+		return 0, false
+	}
+	return sm.lAtEvent + (1-rho)/(1+rho)*ageHW - (1-rho)*(r.cfg.Jitter+r.cfg.TickSlop), true
+}
+
+func (r *refRBS) Invalidate(u, v int) {
+	if sm, ok := r.samples[u][v]; ok {
+		sm.valid = false
+	}
+}
+
+func (r *refRBS) CoListeners(u, v int) bool { return r.coListener[u][v] }
+
+// TestMessagingLayoutDifferential drives the map shadow and the flat
+// Messaging store through the same randomized beacon/invalidate/churn
 // script over one shared topology, and demands bit-identical Estimate, Eps
-// and Misses observables after every operation. This pins the CSR sample
-// slabs to the map-backed store the same way the topo and core layers are
+// and Misses observables after every operation. This pins the flat sample
+// slab to the map-backed store the same way the topo and core layers are
 // pinned.
 func TestMessagingLayoutDifferential(t *testing.T) {
 	const n = 12
@@ -21,9 +191,7 @@ func TestMessagingLayoutDifferential(t *testing.T) {
 		dyn := topo.NewDynamic(n, eng, sim.NewRNG(seed))
 		hw := func(u int) float64 { return float64(eng.Now()) * (1 + 1e-4*float64(u)) }
 		cfg := MessagingConfig{Rho: 0.002, Mu: 0.1, BeaconInterval: 0.25, TickSlop: 0.04}
-		refCfg := cfg
-		refCfg.ReferenceLayout = true
-		ref := NewMessaging(n, dyn, hw, refCfg)
+		ref := newRefMessaging(n, dyn, hw, cfg)
 		soa := NewMessaging(n, dyn, hw, cfg)
 
 		rng := sim.NewRNG(seed ^ 0x11e57)
@@ -70,9 +238,9 @@ func TestMessagingLayoutDifferential(t *testing.T) {
 				_ = dyn.Disappear(u, v)
 			case 3:
 				// Only declared links: the runner never delivers a beacon
-				// elsewhere, and the layouts differ on purpose for orphan
-				// records (reference keeps an unobservable map entry, flat
-				// drops it).
+				// elsewhere, and the stores differ on purpose for orphan
+				// records (the shadow keeps an unobservable map entry, the
+				// flat store drops it).
 				if _, declared := dyn.Params(u, v); !declared {
 					continue
 				}
@@ -94,10 +262,10 @@ func TestMessagingLayoutDifferential(t *testing.T) {
 				if dyn.Sees(u, v) || dyn.Sees(v, u) {
 					continue
 				}
-				for _, m := range []*Messaging{ref, soa} {
-					m.Invalidate(u, v)
-					m.Invalidate(v, u)
-				}
+				ref.Invalidate(u, v)
+				ref.Invalidate(v, u)
+				soa.Invalidate(u, v)
+				soa.Invalidate(v, u)
 				_ = dyn.Undeclare(u, v)
 			}
 			check(step)
@@ -108,7 +276,7 @@ func TestMessagingLayoutDifferential(t *testing.T) {
 // TestMessagingHandleReuse pins the flat store across topology slot reuse:
 // after a link with live samples is undeclared, a different pair declared
 // next takes over its directed-edge handles, and must report no estimate
-// until a beacon crosses it — exactly as the map store, which never saw the
+// until a beacon crosses it — exactly as the map shadow, which never saw the
 // new pair, does.
 func TestMessagingHandleReuse(t *testing.T) {
 	const n = 6
@@ -116,11 +284,8 @@ func TestMessagingHandleReuse(t *testing.T) {
 	dyn := topo.NewDynamic(n, eng, sim.NewRNG(1))
 	hw := func(u int) float64 { return float64(eng.Now()) }
 	cfg := MessagingConfig{Rho: 0.002, Mu: 0.1, BeaconInterval: 0.25, TickSlop: 0.04}
-	refCfg := cfg
-	refCfg.ReferenceLayout = true
-	ref := NewMessaging(n, dyn, hw, refCfg)
+	ref := newRefMessaging(n, dyn, hw, cfg)
 	soa := NewMessaging(n, dyn, hw, cfg)
-	both := func(fn func(m *Messaging)) { fn(ref); fn(soa) }
 	same := func(u, v int, wantOK bool) {
 		t.Helper()
 		re, rok := ref.Estimate(u, v)
@@ -130,9 +295,9 @@ func TestMessagingHandleReuse(t *testing.T) {
 		}
 	}
 	beacon := func(to, from int, l float64) {
-		both(func(m *Messaging) {
-			m.RecordBeacon(to, from, transport.Beacon{L: l}, transport.Delivery{MinTransit: 0.05})
-		})
+		b, d := transport.Beacon{L: l}, transport.Delivery{MinTransit: 0.05}
+		ref.RecordBeacon(to, from, b, d)
+		soa.RecordBeacon(to, from, b, d)
 	}
 
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}} {
@@ -178,22 +343,8 @@ func TestMessagingHandleReuse(t *testing.T) {
 	}
 }
 
-// TestMessagingFlatNeedsLinkHandles: the flat store keys records by the
-// topology's link handles, which a reference-layout topology does not have;
-// pairing the two must fail at construction, not on the first query.
-func TestMessagingFlatNeedsLinkHandles(t *testing.T) {
-	dyn := topo.NewDynamic(4, sim.NewEngine(), sim.NewRNG(1))
-	dyn.SetReferenceLayout(true)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("flat Messaging over a reference-layout topology did not panic")
-		}
-	}()
-	NewMessaging(4, dyn, func(int) float64 { return 0 }, MessagingConfig{BeaconInterval: 0.25})
-}
-
-// TestRBSLayoutDifferential runs a reference-layout and a flat-layout RBS
-// instance side by side on one engine, with overlapping listener groups (so
+// TestRBSLayoutDifferential runs the map shadow and the flat RBS side by
+// side on one engine, with overlapping listener groups (so
 // the CSR dedup path is exercised), identical per-instance RNG seeds, and a
 // randomized invalidation stream. Estimates, Eps, and CoListeners must agree
 // exactly over the whole run.
@@ -205,14 +356,9 @@ func TestRBSLayoutDifferential(t *testing.T) {
 		hw := func(u int) float64 { return float64(eng.Now()) * (1 + 2e-4*float64(u)) }
 		logical := func(u int) float64 { return float64(eng.Now()) * (1 + 1e-4*float64(u)) }
 		cfg := RBSConfig{Rho: 0.002, Mu: 0.1, Jitter: 0.01, Interval: 0.5, ExchangeDelay: 0.05, TickSlop: 0.02}
-		refCfg := cfg
-		refCfg.ReferenceLayout = true
 		// Separate-but-identically-seeded RNGs: each instance draws the same
 		// jitter sequence for its own broadcasts.
-		ref, err := NewRBS(n, eng, nil, sim.NewRNG(seed), hw, logical, groups, refCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := newRefRBS(n, eng, sim.NewRNG(seed), hw, logical, groups, cfg)
 		soa, err := NewRBS(n, eng, nil, sim.NewRNG(seed), hw, logical, groups, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -24,10 +24,6 @@ type MessagingConfig struct {
 	// Centered shifts estimates up by half the one-sided error bound so the
 	// certified error becomes symmetric and half as large.
 	Centered bool
-	// ReferenceLayout selects the map-backed sample store instead of the
-	// default flat slab keyed by link handle. Kept for differential pinning
-	// (TestMessagingLayoutDifferential); see DESIGN.md §Structure-of-arrays.
-	ReferenceLayout bool
 }
 
 // sample is the last beacon received on a directed edge: one 32-byte record.
@@ -49,14 +45,12 @@ type Messaging struct {
 	dyn *topo.Dynamic
 	cfg MessagingConfig
 	hw  func(int) float64
-	// samples[u] maps peer → latest sample (reference layout only).
-	samples []map[int]*sample
-	// Flat layout (default): recs[h] is u's sample of v, where h is the
-	// topology's directed-edge handle for (u, v) (topo.Dynamic.Link). The
-	// slab is sized and the new link's two records zeroed when a link is
-	// declared (declares are serial engine/scenario operations), so
-	// RecordBeacon — which runs concurrently for distinct receivers under
-	// the sharded event drain — only writes its receiver's own records.
+	// recs[h] is u's sample of v, where h is the topology's directed-edge
+	// handle for (u, v) (topo.Dynamic.Link). The slab is sized and the new
+	// link's two records zeroed when a link is declared (declares are
+	// serial engine/scenario operations), so RecordBeacon — which runs
+	// concurrently for distinct receivers under the sharded event drain —
+	// only writes its receiver's own records.
 	recs []sample
 	// Misses counts estimate queries that found no certified sample. It is
 	// incremented atomically: Estimate runs concurrently for distinct u
@@ -66,22 +60,11 @@ type Messaging struct {
 }
 
 // NewMessaging creates the layer for n nodes. hw returns a node's current
-// hardware clock. In the default flat layout the layer sizes its slab for
-// every link already declared on dyn and subscribes to future declares, so
-// beacon ingestion never grows it. The flat layout keys records by the
-// topology's link handles, so it panics on a reference-layout topology.
+// hardware clock. The layer sizes its slab for every link already declared
+// on dyn and subscribes to future declares, so beacon ingestion never grows
+// it.
 func NewMessaging(n int, dyn *topo.Dynamic, hw func(int) float64, cfg MessagingConfig) *Messaging {
 	m := &Messaging{dyn: dyn, cfg: cfg, hw: hw}
-	if cfg.ReferenceLayout {
-		m.samples = make([]map[int]*sample, n)
-		for i := range m.samples {
-			m.samples[i] = make(map[int]*sample)
-		}
-		return m
-	}
-	if dyn.ReferenceLayout() {
-		panic("estimate: flat Messaging store needs link handles; the reference-layout topology has none")
-	}
 	for _, id := range dyn.DeclaredEdges(nil) {
 		m.register(id.U, id.V)
 	}
@@ -91,10 +74,7 @@ func NewMessaging(n int, dyn *topo.Dynamic, hw func(int) float64, cfg MessagingC
 
 // register sizes the slab for a newly declared link and zeroes its two
 // records: the handle may be a freed link's, and a new link must report no
-// sample until a beacon crosses it. The reference map instead keeps an
-// undeclared pair's entries, but they are already invalid: a link is only
-// undeclared once both sides are down, and each EdgeDown invalidates its
-// direction.
+// sample until a beacon crosses it.
 func (m *Messaging) register(a, b int) {
 	h, _, _, _ := m.dyn.Link(a, b)
 	h &^= 1
@@ -105,22 +85,13 @@ func (m *Messaging) register(a, b int) {
 }
 
 // RecordBeacon ingests a delivered beacon; the runner calls this for every
-// beacon delivery. In the flat layout it is one probe of the receiver's
-// adjacency row and one record write.
+// beacon delivery. It is one probe of the receiver's adjacency row and one
+// record write.
 func (m *Messaging) RecordBeacon(to, from int, b transport.Beacon, d transport.Delivery) {
 	s := sample{lSent: b.L, hwAtRecv: m.hw(to), minTransit: d.MinTransit, valid: true}
-	if m.samples != nil {
-		if r, ok := m.samples[to][from]; ok {
-			*r = s
-		} else {
-			m.samples[to][from] = &s
-		}
-		return
-	}
 	// A beacon on a never-declared edge is unobservable (Estimate gates on
-	// visibility, which requires a declared link), so dropping it is
-	// behaviorally identical to the reference map's orphan entry — and keeps
-	// this concurrent path free of structural mutation.
+	// visibility, which requires a declared link), so dropping it keeps this
+	// concurrent path free of structural mutation.
 	if h, _, _, ok := m.dyn.Link(to, from); ok {
 		m.recs[h] = s
 	}
@@ -133,12 +104,6 @@ func (m *Messaging) RecordBeacon(to, from int, b transport.Beacon, d transport.D
 // one short sorted scan per lost directed edge;
 // BenchmarkMessagingInvalidate pins both properties across network sizes.
 func (m *Messaging) Invalidate(u, v int) {
-	if m.samples != nil {
-		if r := m.samples[u][v]; r != nil {
-			r.valid = false
-		}
-		return
-	}
 	if h, _, _, ok := m.dyn.Link(u, v); ok {
 		m.recs[h].valid = false
 	}
@@ -172,13 +137,8 @@ func (m *Messaging) Estimate(u, v int) (float64, bool) {
 	if !sees {
 		return 0, false
 	}
-	var r *sample
-	if m.samples != nil {
-		r = m.samples[u][v]
-	} else {
-		r = &m.recs[h]
-	}
-	if r == nil || !r.valid {
+	r := &m.recs[h]
+	if !r.valid {
 		atomic.AddUint64(&m.Misses, 1)
 		return 0, false
 	}

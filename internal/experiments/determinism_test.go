@@ -159,38 +159,6 @@ func TestScaleTierDeterministicAcrossEventParallelism(t *testing.T) {
 	}
 }
 
-// TestScaleTierDeterministicAcrossLayout is the same net for the
-// structure-of-arrays storage: the scale-tier reports must be byte-identical
-// whether the networks run on the default CSR/slab layout or on the retired
-// map-backed reference layout. A divergent trigger decision, estimate query
-// order, or counter would surface as a diff in the rendered tables.
-func TestScaleTierDeterministicAcrossLayout(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tier replays take a few seconds")
-	}
-	for _, entry := range All() {
-		switch entry.ID {
-		case "E15", "E16":
-		default:
-			continue
-		}
-		entry := entry
-		t.Run(entry.ID, func(t *testing.T) {
-			t.Parallel()
-			spec := Spec{Quick: true, Seed: 1, Seeds: 2, Parallelism: 2}
-
-			spec.ReferenceLayout = true
-			ref := RunReplicated(entry.Run, spec).String()
-
-			spec.ReferenceLayout = false
-			if soa := RunReplicated(entry.Run, spec).String(); soa != ref {
-				t.Errorf("%s: SoA layout output differs from reference layout:\n--- reference ---\n%s\n--- soa ---\n%s",
-					entry.ID, ref, soa)
-			}
-		})
-	}
-}
-
 // TestReplicatedAllExperimentsMultiSeed runs the whole suite across two
 // derived adversary draws: the shape claims are worst-case statements and
 // must hold for every seed the sweep engine can hand a replica.

@@ -183,6 +183,8 @@ type Cluster struct {
 	started  bool
 	stopped  bool
 	unrouted uint64 // beacons to non-owned nodes with no attached peer route
+	// rejected counts inbound peer frames refused by admitPeerBeacon.
+	rejected atomic.Uint64
 
 	// slab holds one published snapshot slot per node id; epoch counts
 	// publications cluster-wide, so an unchanged epoch certifies that every
@@ -634,6 +636,10 @@ type Stats struct {
 	Enqueued uint64  `json:"enqueued"`
 	Dropped  uint64  `json:"dropped"`
 	Unrouted uint64  `json:"unrouted"`
+	// Rejected counts beacon frames from TCP peers dropped at the process
+	// boundary: a sender outside [0, N) or not a declared neighbour of the
+	// addressee, or a non-finite L, M, SentAt or MinTransit.
+	Rejected uint64 `json:"rejected"`
 	// Reconnects counts successful peer-link redials; PeersDown is the
 	// number of peer links currently disconnected and backing off.
 	Reconnects uint64 `json:"reconnects"`
@@ -654,6 +660,7 @@ func (c *Cluster) Stats() Stats {
 		SimNow:        c.SimNow(),
 		Epoch:         c.epoch.Load(),
 		Unrouted:      atomic.LoadUint64(&c.unrouted),
+		Rejected:      c.rejected.Load(),
 		TickNominalMs: float64(c.tickNominal) / float64(time.Millisecond),
 	}
 	for _, i := range c.owned {

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -272,9 +274,41 @@ func (c *Cluster) servePeerConn(conn net.Conn) {
 		if m.Kind != transport.WireBeacon {
 			continue
 		}
-		c.deliverLocal(Envelope{
-			From: m.From, To: m.To,
-			SentAt: m.SentAt, MinTransit: m.MinTransit, B: m.Beacon,
-		})
+		e, ok := c.admitPeerBeacon(m)
+		if !ok {
+			c.rejected.Add(1)
+			continue
+		}
+		c.deliverLocal(e)
 	}
+}
+
+// admitPeerBeacon validates a beacon frame from a TCP peer before it can
+// reach a node's state machine. The peer is outside this process's trust
+// boundary: a sender id that is not a declared neighbour of the addressee
+// would grow the node's sample store without bound, and one non-finite
+// clock value would flood the max estimate network-wide. Such frames are
+// refused. The certified minimum transit is the receiver's to vouch for, so
+// the peer's claim is capped at the local link's Delay−Uncertainty.
+// Addressees this process does not host pass through to deliverLocal, which
+// counts them as unrouted.
+func (c *Cluster) admitPeerBeacon(m transport.WireMsg) (Envelope, bool) {
+	if m.From < 0 || m.From >= c.cfg.N {
+		return Envelope{}, false
+	}
+	for _, x := range [...]float64{m.Beacon.L, m.Beacon.M, m.SentAt, m.MinTransit} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return Envelope{}, false
+		}
+	}
+	if c.Owns(m.To) {
+		peers := c.nodes[m.To].st.peers // sorted; fixed at construction
+		if i := sort.SearchInts(peers, m.From); i == len(peers) || peers[i] != m.From {
+			return Envelope{}, false
+		}
+	}
+	return Envelope{
+		From: m.From, To: m.To,
+		SentAt: m.SentAt, MinTransit: math.Min(m.MinTransit, c.minTransit), B: m.Beacon,
+	}, true
 }

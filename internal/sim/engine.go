@@ -251,8 +251,12 @@ func (e *Engine) EventShards() int { return e.shards }
 
 // SetReferenceDrain forces the serially merged source drain at any K — the
 // retained reference implementation the differential tests compare the
-// windowed drain against (the same role SetReferenceTriggers plays for the
-// single-pass trigger engine).
+// windowed drain against, as the per-level double loop in
+// internal/core/trigger_test.go is for the single-pass trigger engine.
+// Unlike that test-only oracle it stays a production switch: the root
+// package's differentials (parallel_event_test.go) flip it from outside
+// the sim package, and it costs one flag check per drain step, not per
+// event.
 func (e *Engine) SetReferenceDrain(on bool) { e.reference = on }
 
 // SetLookahead installs the conservative window bound: f returns the

@@ -79,35 +79,6 @@ type Listener interface {
 	EdgeDown(self, peer int, t sim.Time)
 }
 
-// edge holds the dynamic state of one undirected edge in the reference
-// (map-backed) layout.
-type edge struct {
-	id     EdgeID
-	params LinkParams
-	// up[i] is the visibility of the directed edge from endpoint i (0 = U,
-	// 1 = V) to the other endpoint; upSince[i] is when it last became
-	// visible.
-	up      [2]bool
-	upSince [2]sim.Time
-	// pending transitions, so a flap cancels outstanding events.
-	pending [2]sim.Handle
-}
-
-func (e *edge) side(u int) int {
-	if u == e.id.U {
-		return 0
-	}
-	return 1
-}
-
-// refGraph is the retained map-of-pointers layout: one heap object per edge
-// plus per-node adjacency maps. It is the executable specification the
-// structure-of-arrays layout is differentially pinned against.
-type refGraph struct {
-	edges map[EdgeID]*edge
-	adj   []map[int]*edge
-}
-
 // churnState is the transition bookkeeping of one slab edge. It is created
 // lazily on the first scheduled (lagged) transition, so edges that never
 // churn — the overwhelming majority at scale — pay nothing for it, and a
@@ -126,15 +97,16 @@ const (
 
 // Dynamic is the dynamic estimate graph.
 //
-// The default layout is structure-of-arrays (DESIGN.md §Structure-of-arrays
-// layout): every declared edge owns a stable int32 slot in flat parallel
-// slabs (endpoints, interned parameter class, visibility bits, up-since
-// times), per-node adjacency is a csr.Rows mapping peer → slot, and the only
+// Its layout is structure-of-arrays (DESIGN.md §Structure-of-arrays layout):
+// every declared edge owns a stable int32 slot in flat parallel slabs
+// (endpoints, interned parameter class, visibility bits, up-since times),
+// per-node adjacency is a csr.Rows mapping peer → slot, and the only
 // remaining keyed lookup — Declare and the scenario edge toggles — goes
 // through one compact packed-EdgeID → slot map off the hot path. Hot reads
 // (Link, Sees, Params, Neighbors, AgeBoth) scan one contiguous sorted row.
-// SetReferenceLayout(true) switches to the retained map-backed layout; the
-// two are pinned byte-identical by differential and fuzz tests.
+// The retired map-of-pointers layout survives only as the test-only shadow
+// refDynamic (layout_test.go); TestLayoutDifferentialChurn and FuzzTopoChurn
+// pin every observable of this layout to it.
 type Dynamic struct {
 	n        int
 	engine   *sim.Engine
@@ -162,7 +134,7 @@ type Dynamic struct {
 	// read-only.
 	onDeclare []func(a, b int)
 
-	// Structure-of-arrays layout (nil ref).
+	// Structure-of-arrays layout.
 	idx      map[uint64]int32 // packed canonical EdgeID → slot; control path only
 	adj      *csr.Rows        // (node, peer) → slot
 	slots    csr.FreeList
@@ -173,9 +145,6 @@ type Dynamic struct {
 	classes  []LinkParams // interned parameter classes
 	classIdx map[LinkParams]int32
 	churn    map[int32]*churnState // lazily allocated transition state
-
-	// Reference layout (non-nil when SetReferenceLayout(true)).
-	ref *refGraph
 }
 
 // NewDynamic creates a graph over n nodes with no edges. The listener may be
@@ -205,25 +174,6 @@ func NewDynamic(n int, engine *sim.Engine, rng *sim.RNG) *Dynamic {
 		d.inMin[i] = math.Inf(1)
 	}
 	return d
-}
-
-// SetReferenceLayout switches between the structure-of-arrays layout (false,
-// the default) and the retained map-backed layout (true). The differential
-// tests pin the two byte-identical; the switch must be thrown before any
-// link is declared.
-func (d *Dynamic) SetReferenceLayout(ref bool) {
-	if d.slots.Cap() != 0 || (d.ref != nil && len(d.ref.edges) > 0) {
-		panic("topo: SetReferenceLayout after links were declared")
-	}
-	if !ref {
-		d.ref = nil
-		return
-	}
-	adj := make([]map[int]*edge, d.n)
-	for i := range adj {
-		adj[i] = make(map[int]*edge)
-	}
-	d.ref = &refGraph{edges: make(map[EdgeID]*edge), adj: adj}
 }
 
 // MinTransit returns the minimum Delay−Uncertainty over all links ever
@@ -277,12 +227,6 @@ func (d *Dynamic) RecomputeTransit() {
 		d.pairRatchet(u, v, mt)
 		d.pairRatchet(v, u, mt)
 	}
-	if d.ref != nil {
-		for id, e := range d.ref.edges {
-			visit(id.U, id.V, e.params)
-		}
-		return
-	}
 	for _, slot := range d.idx {
 		visit(int(d.eU[slot]), int(d.eV[slot]), d.classes[d.eClass[slot]])
 	}
@@ -330,37 +274,26 @@ func (d *Dynamic) DeclareLink(a, b int, p LinkParams) error {
 	}
 	d.pairRatchet(a, b, mt)
 	d.pairRatchet(b, a, mt)
-	if d.ref != nil {
-		if ex, ok := d.ref.edges[id]; ok {
-			ex.params = p
-			return nil
-		}
-		e := &edge{id: id, params: p}
-		d.ref.edges[id] = e
-		d.ref.adj[id.U][id.V] = e
-		d.ref.adj[id.V][id.U] = e
-	} else {
-		if slot, ok := d.idx[id.pack()]; ok {
-			d.eClass[slot] = d.classOf(p)
-			return nil
-		}
-		slot := d.slots.Alloc()
-		if int(slot) == len(d.eU) {
-			d.eU = append(d.eU, 0)
-			d.eV = append(d.eV, 0)
-			d.eClass = append(d.eClass, 0)
-			d.eUp = append(d.eUp, 0)
-			d.eSince = append(d.eSince, [2]sim.Time{})
-		}
-		d.eU[slot] = int32(id.U)
-		d.eV[slot] = int32(id.V)
+	if slot, ok := d.idx[id.pack()]; ok {
 		d.eClass[slot] = d.classOf(p)
-		d.eUp[slot] = 0
-		d.eSince[slot] = [2]sim.Time{}
-		d.adj.Insert(id.U, int32(id.V), slot)
-		d.adj.Insert(id.V, int32(id.U), slot)
-		d.idx[id.pack()] = slot
+		return nil
 	}
+	slot := d.slots.Alloc()
+	if int(slot) == len(d.eU) {
+		d.eU = append(d.eU, 0)
+		d.eV = append(d.eV, 0)
+		d.eClass = append(d.eClass, 0)
+		d.eUp = append(d.eUp, 0)
+		d.eSince = append(d.eSince, [2]sim.Time{})
+	}
+	d.eU[slot] = int32(id.U)
+	d.eV[slot] = int32(id.V)
+	d.eClass[slot] = d.classOf(p)
+	d.eUp[slot] = 0
+	d.eSince[slot] = [2]sim.Time{}
+	d.adj.Insert(id.U, int32(id.V), slot)
+	d.adj.Insert(id.V, int32(id.U), slot)
+	d.idx[id.pack()] = slot
 	for _, fn := range d.onDeclare {
 		fn(id.U, id.V)
 	}
@@ -374,21 +307,6 @@ func (d *Dynamic) DeclareLink(a, b int, p LinkParams) error {
 // drain lookahead depend on removal order).
 func (d *Dynamic) Undeclare(a, b int) error {
 	id := MakeEdgeID(a, b)
-	if d.ref != nil {
-		e, ok := d.ref.edges[id]
-		if !ok {
-			return fmt.Errorf("topo: Undeclare of undeclared link {%d,%d}", a, b)
-		}
-		if e.up[0] || e.up[1] {
-			return fmt.Errorf("topo: Undeclare of visible link {%d,%d}", a, b)
-		}
-		d.engine.Cancel(e.pending[0])
-		d.engine.Cancel(e.pending[1])
-		delete(d.ref.edges, id)
-		delete(d.ref.adj[id.U], id.V)
-		delete(d.ref.adj[id.V], id.U)
-		return nil
-	}
 	slot, ok := d.idx[id.pack()]
 	if !ok {
 		return fmt.Errorf("topo: Undeclare of undeclared link {%d,%d}", a, b)
@@ -419,17 +337,10 @@ func (d *Dynamic) Params(a, b int) (LinkParams, bool) {
 
 // Link resolves the declared link {u,v} from u's side with one probe of u's
 // adjacency row: h is u's directed-edge handle 2·slot + side (stable while
-// the link stays declared; −1 in the reference layout, which has no slots),
-// p its parameters (read-only), sees whether v ∈ N_u(t), and ok whether the
-// link is declared at all. Per-directed-edge stores index flat slabs by h.
+// the link stays declared), p its parameters (read-only), sees whether
+// v ∈ N_u(t), and ok whether the link is declared at all (h is −1 when it
+// is not). Per-directed-edge stores index flat slabs by h.
 func (d *Dynamic) Link(u, v int) (h int32, p *LinkParams, sees, ok bool) {
-	if d.ref != nil {
-		e, ok := d.ref.adj[u][v]
-		if !ok {
-			return -1, nil, false, false
-		}
-		return -1, &e.params, e.up[e.side(u)], true
-	}
 	slot, ok := d.adj.Find(u, int32(v))
 	if !ok {
 		return -1, nil, false, false
@@ -437,10 +348,6 @@ func (d *Dynamic) Link(u, v int) (h int32, p *LinkParams, sees, ok bool) {
 	s := sideOf(u, v)
 	return slot<<1 | int32(s), &d.classes[d.eClass[slot]], d.eUp[slot]&(upU<<s) != 0, true
 }
-
-// ReferenceLayout reports whether the graph runs the map-backed reference
-// layout, whose Link returns no handles.
-func (d *Dynamic) ReferenceLayout() bool { return d.ref != nil }
 
 // Appear makes edge {a,b} appear now. Each endpoint observes the appearance
 // after an independent delay drawn uniformly from [0, τ], matching the
@@ -463,20 +370,6 @@ func (d *Dynamic) Disappear(a, b int) error {
 
 func (d *Dynamic) toggle(a, b int, up, instant bool, op string) error {
 	id := MakeEdgeID(a, b)
-	if d.ref != nil {
-		e, ok := d.ref.edges[id]
-		if !ok {
-			return fmt.Errorf("topo: %s on undeclared link {%d,%d}", op, a, b)
-		}
-		for side := 0; side < 2; side++ {
-			lag := 0.0
-			if !instant {
-				lag = d.detectionLag(e.params.Tau)
-			}
-			d.transitionRef(e, side, up, lag)
-		}
-		return nil
-	}
 	slot, ok := d.idx[id.pack()]
 	if !ok {
 		return fmt.Errorf("topo: %s on undeclared link {%d,%d}", op, a, b)
@@ -555,37 +448,6 @@ func (d *Dynamic) apply(slot int32, side int, up bool, t sim.Time) {
 	}
 }
 
-// transitionRef is the reference-layout transition path.
-func (d *Dynamic) transitionRef(e *edge, side int, up bool, lag float64) {
-	d.engine.Cancel(e.pending[side]) // no-op for the zero or stale handle
-	e.pending[side] = 0
-	apply := func(t sim.Time) {
-		e.pending[side] = 0
-		if e.up[side] == up {
-			return
-		}
-		e.up[side] = up
-		self := e.id.U
-		if side == 1 {
-			self = e.id.V
-		}
-		peer := e.id.Other(self)
-		if up {
-			e.upSince[side] = t
-			if d.listener != nil {
-				d.listener.EdgeUp(self, peer, t)
-			}
-		} else if d.listener != nil {
-			d.listener.EdgeDown(self, peer, t)
-		}
-	}
-	if lag <= 0 {
-		apply(d.engine.Now())
-		return
-	}
-	e.pending[side] = d.engine.After(lag, apply)
-}
-
 // sideOf returns the slab side index of node u on edge {u,v}: side 0 is the
 // smaller endpoint (EdgeID is canonical U < V).
 func sideOf(u, v int) int {
@@ -604,13 +466,6 @@ func (d *Dynamic) Sees(u, v int) bool {
 
 // BothUp reports whether {u,v} exists in both directions.
 func (d *Dynamic) BothUp(u, v int) bool {
-	if d.ref != nil {
-		e, ok := d.ref.adj[u][v]
-		if !ok {
-			return false
-		}
-		return e.up[0] && e.up[1]
-	}
 	slot, ok := d.adj.Find(u, int32(v))
 	if !ok {
 		return false
@@ -621,17 +476,6 @@ func (d *Dynamic) BothUp(u, v int) bool {
 // UpSince returns the time the directed edge (u,v) last became visible; the
 // second result is false if the edge is currently down for u.
 func (d *Dynamic) UpSince(u, v int) (sim.Time, bool) {
-	if d.ref != nil {
-		e, ok := d.ref.adj[u][v]
-		if !ok {
-			return 0, false
-		}
-		s := e.side(u)
-		if !e.up[s] {
-			return 0, false
-		}
-		return e.upSince[s], true
-	}
 	slot, ok := d.adj.Find(u, int32(v))
 	if !ok {
 		return 0, false
@@ -646,14 +490,6 @@ func (d *Dynamic) UpSince(u, v int) (sim.Time, bool) {
 // AgeBoth returns how long {u,v} has been continuously visible to both
 // endpoints, or false if it is not currently both-up.
 func (d *Dynamic) AgeBoth(u, v int, now sim.Time) (float64, bool) {
-	if d.ref != nil {
-		e, ok := d.ref.adj[u][v]
-		if !ok || !e.up[0] || !e.up[1] {
-			return 0, false
-		}
-		since := math.Max(e.upSince[0], e.upSince[1])
-		return now - since, true
-	}
 	slot, ok := d.adj.Find(u, int32(v))
 	if !ok || d.eUp[slot] != upU|upV {
 		return 0, false
@@ -671,19 +507,9 @@ func (d *Dynamic) ageBothSlot(slot int32, now sim.Time) (float64, bool) {
 
 // Neighbors appends to dst the peers currently visible to u, in ascending
 // id order (deterministic iteration keeps whole simulations reproducible),
-// and returns the slice. In the slab layout the adjacency row is already
-// sorted, so this is one contiguous filtered scan with no sort.
+// and returns the slice. The adjacency row is already sorted, so this is one
+// contiguous filtered scan with no sort.
 func (d *Dynamic) Neighbors(u int, dst []int) []int {
-	if d.ref != nil {
-		start := len(dst)
-		for v, e := range d.ref.adj[u] {
-			if e.up[e.side(u)] {
-				dst = append(dst, v)
-			}
-		}
-		sort.Ints(dst[start:])
-		return dst
-	}
 	peers, slots := d.adj.Row(u)
 	for i, v := range peers {
 		if d.eUp[slots[i]]&(upU<<sideOf(u, int(v))) != 0 {
@@ -698,15 +524,9 @@ func (d *Dynamic) Neighbors(u int, dst []int) []int {
 // apart from the pairs they are free to toggle.
 func (d *Dynamic) DeclaredEdges(dst []EdgeID) []EdgeID {
 	start := len(dst)
-	if d.ref != nil {
-		for id := range d.ref.edges {
-			dst = append(dst, id)
-		}
-	} else {
-		for slot := int32(0); slot < int32(d.slots.Cap()); slot++ {
-			if d.slots.Live(slot) {
-				dst = append(dst, EdgeID{U: int(d.eU[slot]), V: int(d.eV[slot])})
-			}
+	for slot := int32(0); slot < int32(d.slots.Cap()); slot++ {
+		if d.slots.Live(slot) {
+			dst = append(dst, EdgeID{U: int(d.eU[slot]), V: int(d.eV[slot])})
 		}
 	}
 	sortEdges(dst[start:])
@@ -716,17 +536,9 @@ func (d *Dynamic) DeclaredEdges(dst []EdgeID) []EdgeID {
 // EdgesBothUp appends to dst all edges visible in both directions, sorted.
 func (d *Dynamic) EdgesBothUp(dst []EdgeID) []EdgeID {
 	start := len(dst)
-	if d.ref != nil {
-		for id, e := range d.ref.edges {
-			if e.up[0] && e.up[1] {
-				dst = append(dst, id)
-			}
-		}
-	} else {
-		for slot := int32(0); slot < int32(d.slots.Cap()); slot++ {
-			if d.slots.Live(slot) && d.eUp[slot] == upU|upV {
-				dst = append(dst, EdgeID{U: int(d.eU[slot]), V: int(d.eV[slot])})
-			}
+	for slot := int32(0); slot < int32(d.slots.Cap()); slot++ {
+		if d.slots.Live(slot) && d.eUp[slot] == upU|upV {
+			dst = append(dst, EdgeID{U: int(d.eU[slot]), V: int(d.eV[slot])})
 		}
 	}
 	sortEdges(dst[start:])
@@ -737,20 +549,12 @@ func (d *Dynamic) EdgesBothUp(dst []EdgeID) []EdgeID {
 // sorted.
 func (d *Dynamic) StableEdges(now sim.Time, minAge float64, dst []EdgeID) []EdgeID {
 	start := len(dst)
-	if d.ref != nil {
-		for id := range d.ref.edges {
-			if age, ok := d.AgeBoth(id.U, id.V, now); ok && age >= minAge {
-				dst = append(dst, id)
-			}
+	for slot := int32(0); slot < int32(d.slots.Cap()); slot++ {
+		if !d.slots.Live(slot) {
+			continue
 		}
-	} else {
-		for slot := int32(0); slot < int32(d.slots.Cap()); slot++ {
-			if !d.slots.Live(slot) {
-				continue
-			}
-			if age, ok := d.ageBothSlot(slot, now); ok && age >= minAge {
-				dst = append(dst, EdgeID{U: int(d.eU[slot]), V: int(d.eV[slot])})
-			}
+		if age, ok := d.ageBothSlot(slot, now); ok && age >= minAge {
+			dst = append(dst, EdgeID{U: int(d.eU[slot]), V: int(d.eV[slot])})
 		}
 	}
 	sortEdges(dst[start:])
@@ -766,15 +570,9 @@ func sortEdges(edges []EdgeID) {
 	})
 }
 
-// eachDeclaredPeer calls fn for every declared peer of u (up or down). The
-// graph-algorithm helpers below use it so they run on either layout.
+// eachDeclaredPeer calls fn for every declared peer of u (up or down), in
+// ascending id order.
 func (d *Dynamic) eachDeclaredPeer(u int, fn func(v int)) {
-	if d.ref != nil {
-		for v := range d.ref.adj[u] {
-			fn(v)
-		}
-		return
-	}
 	peers, _ := d.adj.Row(u)
 	for _, v := range peers {
 		fn(int(v))

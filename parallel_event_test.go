@@ -11,6 +11,7 @@ package gradsync_test
 // detector, not just asserted.
 
 import (
+	"fmt"
 	"testing"
 
 	gradsync "repro"
@@ -193,5 +194,76 @@ func TestShardedDrainScaleRing(t *testing.T) {
 	serial := run(1, 1)
 	if d := serial.diff(run(8, 8)); d != "" {
 		t.Fatalf("EventParallelism 8 × TickParallelism 8 diverged from serial at N=%d: %s", n, d)
+	}
+}
+
+// TestLayoutDifferential runs the structure-of-arrays storage — topology
+// rows, algorithm record slabs, the handle-keyed sample store — under both
+// concurrency fan-outs at once: randomized full runs at (tick, event)
+// parallelism (2,2) and (8,8) must match the serial run bit for bit. The
+// 8-shard replays also run under `make race`, putting the slab read paths
+// in front of the detector. (The slabs themselves are pinned to their
+// map-backed shadows by the package-level differentials in internal/topo,
+// internal/estimate and internal/core.)
+func TestLayoutDifferential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("differential replays take a few seconds")
+	}
+	for caseSeed := int64(101); caseSeed <= 112; caseSeed++ {
+		c := randomTickCase(caseSeed)
+		t.Run(c.name, func(t *testing.T) {
+			run := func(par int) tickFingerprint {
+				cfg := c.build(par)
+				cfg.EventParallelism = par
+				net := gradsync.MustNew(cfg)
+				net.RunFor(c.horizon)
+				return fingerprint(net)
+			}
+			serial := run(1)
+			for _, par := range []int{2, 8} {
+				if d := serial.diff(run(par)); d != "" {
+					t.Fatalf("parallelism %d diverged from serial: %s", par, d)
+				}
+			}
+		})
+	}
+	// Messaging estimates crossed with fast mode: an initial skew ramp makes
+	// A^OPT's fast trigger fire on message-based estimates under churn, so
+	// the flat sample store is exercised concurrently while the estimate
+	// values decide the mode (the random cases above may draw messaging runs
+	// that never leave slow mode).
+	for _, centered := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fast/messaging/centered=%v", centered), func(t *testing.T) {
+			const n = 16
+			ramp := make([]float64, n)
+			for u := range ramp {
+				ramp[u] = 0.6 * float64(u)
+			}
+			run := func(par int) tickFingerprint {
+				net := gradsync.MustNew(gradsync.Config{
+					Topology:         gradsync.LineTopology(n),
+					Algorithm:        gradsync.AOPT(),
+					Drift:            gradsync.TwoGroupDrift(n / 2),
+					Estimates:        gradsync.MessagingEstimates(centered),
+					Scenario:         &scenario.Churn{Every: 2},
+					InitialClocks:    ramp,
+					TickParallelism:  par,
+					EventParallelism: par,
+					Seed:             12,
+				})
+				net.RunFor(30)
+				return fingerprint(net)
+			}
+			serial := run(1)
+			t.Logf("serial run: %d fast, %d slow, %d missing-estimate ticks", serial.fast, serial.slow, serial.missing)
+			if serial.fast == 0 {
+				t.Fatalf("serial run never entered fast mode (slow ticks %d): the case does not cross fast mode", serial.slow)
+			}
+			for _, par := range []int{2, 8} {
+				if d := serial.diff(run(par)); d != "" {
+					t.Fatalf("parallelism %d diverged from serial: %s", par, d)
+				}
+			}
+		})
 	}
 }
