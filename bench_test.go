@@ -137,7 +137,7 @@ func BenchmarkE16ExtremeScaleQuick(b *testing.B) {
 // protocol: only it carries drain traffic (the oracle sends no messages, so
 // its drain windows are empty), which makes it the rung whose events/window
 // metric tracks the window-widening machinery — sharded serial controls,
-// per-pair lookahead, and tick crossing all fire on it. Its shard count is
+// per-shard lookahead, and tick crossing all fire on it. Its shard count is
 // pinned at 8 rather than NumCPU: the drain's window structure (and so the
 // events/window figure) is a function of the logical shard count, and a
 // fixed K keeps that figure comparable across hosts — including single-core

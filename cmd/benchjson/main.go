@@ -61,9 +61,9 @@ type Record struct {
 	// QPS is the query-throughput metric the gradsyncd endpoint benchmarks
 	// report (BenchmarkSkewQuery / BenchmarkClockQuery) — the daemon's
 	// query-plane headline.
-	QPS    float64 `json:"qps,omitempty"`
-	BPerOp float64 `json:"b_per_op,omitempty"`
-	AllocsPerOp     int64   `json:"allocs_per_op,omitempty"`
+	QPS         float64 `json:"qps,omitempty"`
+	BPerOp      float64 `json:"b_per_op,omitempty"`
+	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
 	// HasMem marks that the B/op and allocs/op columns were present (the
 	// run used -benchmem), so a recorded 0 allocs/op is distinguishable
 	// from memory data simply being absent — required for the allocation
@@ -260,16 +260,16 @@ type benchKey struct{ pkg, name string }
 
 // deltaRow is one comparison outcome, rendered as text or markdown.
 type deltaRow struct {
-	name         string
-	verdict      string // "ok", "REGRESSED", "new", "removed"
+	name           string
+	verdict        string // "ok", "REGRESSED", "new", "removed"
 	oldNs, newNs   float64
 	deltaPct       float64
 	oldEv, newEv   float64 // events/sec where recorded (0 = absent)
 	oldQPS, newQPS float64 // qps where recorded (0 = absent)
-	hasMem       bool    // both records carried -benchmem columns
-	oldAllocs    int64
-	newAllocs    int64
-	oldB, newB   float64
+	hasMem         bool    // both records carried -benchmem columns
+	oldAllocs      int64
+	newAllocs      int64
+	oldB, newB     float64
 }
 
 // memRow is one mem-footer comparison outcome.

@@ -1,11 +1,13 @@
 // Command gradsyncload is the closed-loop load generator for gradsyncd: it
 // opens a set of keep-alive HTTP/1.1 connections, drives the daemon's five
-// query endpoints round-robin (optionally paced to a target aggregate QPS),
-// and reports per-endpoint throughput and latency quantiles from log-linear
-// histograms (internal/hist, ~6% relative error). After the measured window
-// it reads the daemon's /v1/stats once and reports the protocol's tick
-// timing — the figure that tells you whether query load perturbed the state
-// machine, which the epoch-snapshot read path exists to prevent.
+// query endpoints round-robin (optionally paced to a target aggregate QPS,
+// timing each request from its due time on the fixed schedule so a daemon
+// stall shows in the tail), and reports per-endpoint throughput and latency
+// quantiles from log-linear histograms (internal/hist, ~6% relative error).
+// After the measured window it reads the daemon's /v1/stats once and reports
+// the protocol's tick timing — the figure that tells you whether query load
+// perturbed the state machine, which the epoch-snapshot read path exists to
+// prevent.
 //
 // The client speaks raw TCP with prebuilt request bytes rather than
 // net/http, so generator-side allocation and connection-pool jitter don't
@@ -61,7 +63,7 @@ func run(args []string, out io.Writer) error {
 		conns    = fs.Int("conns", 4, "concurrent keep-alive connections")
 		duration = fs.Duration("duration", 10*time.Second, "measured window (after warmup)")
 		warmup   = fs.Duration("warmup", 1*time.Second, "warmup before measurement starts")
-		qps      = fs.Float64("qps", 0, "aggregate target request rate (0: closed loop, as fast as the daemon answers)")
+		qps      = fs.Float64("qps", 0, "aggregate target request rate, latency timed from each request's due time (0: closed loop, as fast as the daemon answers)")
 		jsonOut  = fs.Bool("json", false, "emit machine-readable JSON instead of the table")
 		paths    = fs.String("paths", "", "comma-separated request paths (default: all five API endpoints)")
 	)
@@ -181,20 +183,18 @@ func (w *worker) loop(recording, stop *atomic.Bool) {
 			return
 		}
 		p := i % len(w.reqs)
-		if w.pacing > 0 {
-			now := time.Now()
-			if now.Before(next) {
-				time.Sleep(next.Sub(now))
-			}
-			next = next.Add(w.pacing)
-			// A stall longer than the interval doesn't earn a burst of
-			// catch-up sends: coordinated-omission-style bursts would
-			// measure the generator, not the daemon.
-			if t := time.Now(); next.Before(t) {
-				next = t
-			}
-		}
 		t0 := time.Now()
+		if w.pacing > 0 {
+			// Requests are due on a fixed schedule and each is timed from
+			// its due time. After a stall the missed requests go out back
+			// to back, so the stall shows in the latency tail and the sent
+			// count instead of being omitted (coordinated omission).
+			if t0.Before(next) {
+				time.Sleep(next.Sub(t0))
+			}
+			t0 = next
+			next = next.Add(w.pacing)
+		}
 		err := w.oneRequest(p)
 		lat := time.Since(t0)
 		rec := recording.Load()

@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // TestReadResponse pins the minimal response parser against pipelined
@@ -115,5 +117,47 @@ func TestLoadGeneratorPacing(t *testing.T) {
 	// would be tens of thousands of qps).
 	if rep.Aggregate.QPS > 400 || rep.Aggregate.QPS < 50 {
 		t.Fatalf("target 200 qps, measured %.0f", rep.Aggregate.QPS)
+	}
+}
+
+// TestLoadGeneratorPacedStall pins paced mode against coordinated omission:
+// a stub server stalls once for 200ms inside the measured window. The
+// requests that fell due during the stall must still be sent (the count
+// keeps up with the target rate) and be timed from their due times (the
+// stall reaches p99). A generator that resets its schedule after the stall
+// and times from the actual send loses about a fifth of the requests and
+// shows the stall in one sample only, below p99.
+func TestLoadGeneratorPacedStall(t *testing.T) {
+	const stall = 200 * time.Millisecond
+	start := time.Now()
+	var once sync.Once
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if time.Since(start) > 400*time.Millisecond {
+			once.Do(func() { time.Sleep(stall) })
+		}
+		w.Write([]byte(`{"ok":true}`))
+	}))
+	defer srv.Close()
+	addr := strings.TrimPrefix(srv.URL, "http://")
+
+	var out bytes.Buffer
+	err := run([]string{
+		"-addr", addr, "-conns", "1", "-qps", "400", "-paths", "/healthz",
+		"-warmup", "100ms", "-duration", "1s", "-json",
+	}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	agg := rep.Aggregate
+	if want := 400 * rep.DurationSec; float64(agg.Requests) < 0.9*want {
+		t.Errorf("sent %d requests in %.2fs, want ≥ 90%% of %.0f: the stall's requests were omitted",
+			agg.Requests, rep.DurationSec, want)
+	}
+	if agg.P99us < 0.5*float64(stall.Microseconds()) {
+		t.Errorf("p99 %.0fµs after a %v stall: latency is not timed from the due time", agg.P99us, stall)
 	}
 }

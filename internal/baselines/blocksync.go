@@ -14,10 +14,7 @@ import (
 // proves its stable local skew is Θ(S) provided S ∈ Ω(√(ρ·D)); experiment
 // E3 sweeps S to expose that threshold empirically.
 type BlockSync struct {
-	// S is the block size (target local skew scale).
-	S float64
-	// Rho, Mu, Iota as in the core algorithm.
-	Rho, Mu, Iota float64
+	BlockRule
 
 	rt   *runner.Runtime
 	l    []float64
@@ -56,7 +53,7 @@ func NewBlockSync(s, rho, mu float64) (*BlockSync, error) {
 	if mu <= 0 || rho <= 0 {
 		return nil, fmt.Errorf("baselines: rho and mu must be positive")
 	}
-	return &BlockSync{S: s, Rho: rho, Mu: mu, Iota: 0.05}, nil
+	return &BlockSync{BlockRule: BlockRule{S: s, Rho: rho, Mu: mu, Iota: 0.05}}, nil
 }
 
 // Name implements runner.Algorithm.
@@ -86,17 +83,9 @@ func (b *BlockSync) OnEdgeUp(_, _ int, _ sim.Time) {}
 // OnEdgeDown implements runner.Algorithm.
 func (b *BlockSync) OnEdgeDown(_, _ int, _ sim.Time) {}
 
-// OnBeacon implements runner.Algorithm: max-estimate flooding as in AOPT,
-// with the one-tick discretization compensation on the transit credit.
+// OnBeacon implements runner.Algorithm: max-estimate flooding as in AOPT.
 func (b *BlockSync) OnBeacon(to, _ int, bc transport.Beacon, d transport.Delivery) {
-	credit := d.MinTransit - b.rt.Tick()
-	if credit < 0 {
-		credit = 0
-	}
-	cand := bc.M + (1-b.Rho)*credit
-	if cand > b.m[to] {
-		b.m[to] = cand
-	}
+	b.m[to] = b.Flood(b.m[to], bc.M, d.MinTransit, b.rt.Tick())
 }
 
 // OnControl implements runner.Algorithm.
@@ -128,29 +117,17 @@ func (b *BlockSync) decideShard(shard, lo, hi int) {
 
 // integrateShard runs the clock-integration phase for nodes [lo, hi).
 func (b *BlockSync) integrateShard(_, lo, hi int) {
-	oneMinus := (1 - b.Rho) / (1 + b.Rho)
 	dH := b.dHTick
 	for u := lo; u < hi; u++ {
-		b.l[u] += b.mult[u] * dH[u]
-		if b.m[u] <= b.l[u] {
-			b.m[u] = b.l[u]
-		} else {
-			b.m[u] += oneMinus * dH[u]
-			if b.m[u] < b.l[u] {
-				b.m[u] = b.l[u]
-			}
-		}
+		b.l[u], b.m[u] = b.Integrate(b.l[u], b.m[u], b.mult[u], dH[u])
 	}
 }
 
 func (b *BlockSync) decideMode(u, shard int, c *blockCounters) float64 {
 	lu := b.l[u]
-	delta := b.S / 20
 	b.nbrs[shard] = b.rt.Dyn.Neighbors(u, b.nbrs[shard][:0])
-	nbrs := b.nbrs[shard]
-	fastWitness, fastBlocked := false, false
-	slowWitness, slowBlocked := false, false
-	for _, v := range nbrs {
+	var votes BlockVotes
+	for _, v := range b.nbrs[shard] {
 		est, ok := b.rt.Est.Estimate(u, v)
 		if !ok {
 			continue
@@ -160,41 +137,15 @@ func (b *BlockSync) decideMode(u, shard int, c *blockCounters) float64 {
 		if !okP {
 			continue
 		}
-		tau := lp.Tau
-		if est-lu >= b.S-eps {
-			fastWitness = true
-		}
-		if lu-est > b.S+2*b.Mu*tau+eps {
-			fastBlocked = true
-		}
-		if lu-est >= 1.5*b.S-delta-eps {
-			slowWitness = true
-		}
-		if est-lu > 1.5*b.S+delta+eps+b.Mu*(1+b.Rho)*tau {
-			slowBlocked = true
-		}
+		b.Vote(&votes, lu, est, eps, lp.Tau)
 	}
-	switch {
-	case slowWitness && !slowBlocked:
-		c.slow++
-		return 1
-	case fastWitness && !fastBlocked:
+	mult, fast := b.Mode(votes, lu, b.m[u], b.mult[u])
+	if fast {
 		c.fast++
-		return 1 + b.Mu
-	case lu >= b.m[u]-1e-12:
+	} else {
 		c.slow++
-		return 1
-	case lu <= b.m[u]-b.Iota:
-		c.fast++
-		return 1 + b.Mu
-	default:
-		if b.mult[u] > 1 {
-			c.fast++
-		} else {
-			c.slow++
-		}
-		return b.mult[u]
 	}
+	return mult
 }
 
 // Logical implements runner.Algorithm.
@@ -207,4 +158,87 @@ func (b *BlockSync) MaxEstimate(u int) float64 { return b.m[u] }
 func (b *BlockSync) SetLogical(u int, v float64) {
 	b.l[u] = v
 	b.m[u] = v
+}
+
+// BlockRule is the per-node step rule of [11]: the mode decision from
+// neighbour estimates, the logical-clock integration and the max-estimate
+// flood. It holds no state, so BlockSync (every node of a simulated
+// network) and the live daemon (one node per goroutine) run the same
+// float operations in the same order.
+type BlockRule struct {
+	// S is the block size (target local skew scale).
+	S float64
+	// Rho, Mu, Iota as in the core algorithm.
+	Rho, Mu, Iota float64
+}
+
+// BlockVotes is one node's tally of its neighbours' votes for a mode
+// decision; the zero value is an empty tally.
+type BlockVotes struct {
+	fastWitness, fastBlocked bool
+	slowWitness, slowBlocked bool
+}
+
+// Vote folds one neighbour into v: lu is the node's logical clock, est the
+// neighbour estimate with error bound eps, tau the link's τ.
+func (r BlockRule) Vote(v *BlockVotes, lu, est, eps, tau float64) {
+	delta := r.S / 20
+	if est-lu >= r.S-eps {
+		v.fastWitness = true
+	}
+	if lu-est > r.S+2*r.Mu*tau+eps {
+		v.fastBlocked = true
+	}
+	if lu-est >= 1.5*r.S-delta-eps {
+		v.slowWitness = true
+	}
+	if est-lu > 1.5*r.S+delta+eps+r.Mu*(1+r.Rho)*tau {
+		v.slowBlocked = true
+	}
+}
+
+// Mode picks the node's rate multiplier from its votes, its logical clock
+// lu, its max estimate m and its current multiplier mult; fast reports
+// whether the tick counts as a fast-mode tick.
+func (r BlockRule) Mode(v BlockVotes, lu, m, mult float64) (next float64, fast bool) {
+	switch {
+	case v.slowWitness && !v.slowBlocked:
+		return 1, false
+	case v.fastWitness && !v.fastBlocked:
+		return 1 + r.Mu, true
+	case lu >= m-1e-12:
+		return 1, false
+	case lu <= m-r.Iota:
+		return 1 + r.Mu, true
+	default:
+		return mult, mult > 1
+	}
+}
+
+// Integrate advances logical clock l and max estimate m by one tick of
+// hardware increment dh at multiplier mult.
+func (r BlockRule) Integrate(l, m, mult, dh float64) (float64, float64) {
+	oneMinus := (1 - r.Rho) / (1 + r.Rho)
+	l += mult * dh
+	if m <= l {
+		return l, l
+	}
+	m += oneMinus * dh
+	if m < l {
+		m = l
+	}
+	return l, m
+}
+
+// Flood folds a received max estimate bm into m, crediting the certified
+// minimum transit less one tick of discretization.
+func (r BlockRule) Flood(m, bm, minTransit, tick float64) float64 {
+	credit := minTransit - tick
+	if credit < 0 {
+		credit = 0
+	}
+	if cand := bm + (1-r.Rho)*credit; cand > m {
+		return cand
+	}
+	return m
 }

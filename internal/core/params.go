@@ -134,6 +134,3 @@ func (p *Params) validate() error {
 
 // Sigma returns the gradient logarithm base σ for these parameters.
 func (p Params) Sigma() float64 { return analysis.Sigma(p.Mu, p.Rho) }
-
-// FastRate returns the fast-mode multiplier 1+µ.
-func (p Params) FastRate() float64 { return 1 + p.Mu }

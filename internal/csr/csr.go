@@ -48,9 +48,6 @@ func NewRows(n int) *Rows {
 	}
 }
 
-// NumRows returns the number of rows.
-func (r *Rows) NumRows() int { return len(r.off) }
-
 // Len returns the total number of live entries.
 func (r *Rows) Len() int { return int(r.live) }
 

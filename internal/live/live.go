@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/baselines"
 	"repro/internal/hist"
 	"repro/internal/topo"
 	"repro/internal/transport"
@@ -125,7 +126,7 @@ func (c *Config) applyDefaults() error {
 
 func (c *Config) params() params {
 	return params{
-		S: c.S, Rho: c.Rho, Mu: c.Mu, Iota: c.Iota,
+		Rule: baselines.BlockRule{S: c.S, Rho: c.Rho, Mu: c.Mu, Iota: c.Iota},
 		Tick: c.Tick, BeaconInterval: c.BeaconInterval, Link: c.Link,
 	}
 }

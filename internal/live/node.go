@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/baselines"
 	"repro/internal/estimate"
 	"repro/internal/topo"
 	"repro/internal/transport"
@@ -21,9 +22,10 @@ import (
 // byte-identically: applyTick and applyBeacon are deterministic functions of
 // their recorded arguments, applied in the recorded per-node order.
 //
-// The step rule is the single-threshold gradient algorithm of [11]
-// (baselines.BlockSync) in per-node form: max-estimate flooding via beacons,
-// and a fast/slow mode decision from neighbor estimates served by the
+// The step rule is the single-threshold gradient algorithm of [11]:
+// baselines.BlockRule, the same per-node rule the simulator's
+// baselines.BlockSync runs for every node. Max-estimate flooding rides the
+// beacons, and the fast/slow mode decision reads neighbor estimates from the
 // node-local estimate store (estimate.LocalBeacons — the same certified
 // bound as the simulator's messaging layer).
 type nodeState struct {
@@ -35,25 +37,23 @@ type nodeState struct {
 
 	fast, slow uint64 // mode tick counters
 
-	s, rho, mu, iota, tick float64
-	link                   topo.LinkParams
-	est                    *estimate.LocalBeacons
-	peers                  []int // sorted neighbor ids
+	rule  baselines.BlockRule
+	tick  float64
+	link  topo.LinkParams
+	est   *estimate.LocalBeacons
+	peers []int // sorted neighbor ids
 }
 
 func newNodeState(id int, peers []int, p params) *nodeState {
 	return &nodeState{
 		id:   id,
 		mult: 1,
-		s:    p.S,
-		rho:  p.Rho,
-		mu:   p.Mu,
-		iota: p.Iota,
+		rule: p.Rule,
 		tick: p.Tick,
 		link: p.Link,
 		est: estimate.NewLocalBeacons(estimate.MessagingConfig{
-			Rho:            p.Rho,
-			Mu:             p.Mu,
+			Rho:            p.Rule.Rho,
+			Mu:             p.Rule.Mu,
 			BeaconInterval: p.BeaconInterval,
 			TickSlop:       2 * p.Tick,
 		}, p.Link),
@@ -64,7 +64,7 @@ func newNodeState(id int, peers []int, p params) *nodeState {
 // params is the shared parameter block of every node (extracted from Config
 // by the cluster and from the trace header by the replay).
 type params struct {
-	S, Rho, Mu, Iota     float64
+	Rule                 baselines.BlockRule
 	Tick, BeaconInterval float64
 	Link                 topo.LinkParams
 }
@@ -75,13 +75,7 @@ type params struct {
 // the certified-minimum transit credit.
 func (ns *nodeState) applyBeacon(from int, b transport.Beacon, minTransit float64) {
 	ns.est.Record(from, b.L, ns.hw, minTransit)
-	credit := minTransit - ns.tick
-	if credit < 0 {
-		credit = 0
-	}
-	if cand := b.M + (1-ns.rho)*credit; cand > ns.m {
-		ns.m = cand
-	}
+	ns.m = ns.rule.Flood(ns.m, b.M, minTransit, ns.tick)
 }
 
 // applyTick advances the node by one integration tick with hardware
@@ -93,66 +87,26 @@ func (ns *nodeState) applyBeacon(from int, b transport.Beacon, minTransit float6
 func (ns *nodeState) applyTick(dh float64) {
 	ns.hw += dh
 	ns.mult = ns.decideMode()
-	ns.l += ns.mult * dh
-	oneMinus := (1 - ns.rho) / (1 + ns.rho)
-	if ns.m <= ns.l {
-		ns.m = ns.l
-	} else {
-		ns.m += oneMinus * dh
-		if ns.m < ns.l {
-			ns.m = ns.l
-		}
-	}
+	ns.l, ns.m = ns.rule.Integrate(ns.l, ns.m, ns.mult, dh)
 }
 
-// decideMode is baselines.BlockSync.decideMode in per-node form, with the
+// decideMode collects the peers' votes and picks the mode, with the
 // neighbor estimates served by the node-local store.
 func (ns *nodeState) decideMode() float64 {
-	lu := ns.l
-	delta := ns.s / 20
 	eps := ns.est.Eps()
-	tau := ns.link.Tau
-	fastWitness, fastBlocked := false, false
-	slowWitness, slowBlocked := false, false
+	var votes baselines.BlockVotes
 	for _, v := range ns.peers {
-		est, ok := ns.est.Estimate(v, ns.hw)
-		if !ok {
-			continue
-		}
-		if est-lu >= ns.s-eps {
-			fastWitness = true
-		}
-		if lu-est > ns.s+2*ns.mu*tau+eps {
-			fastBlocked = true
-		}
-		if lu-est >= 1.5*ns.s-delta-eps {
-			slowWitness = true
-		}
-		if est-lu > 1.5*ns.s+delta+eps+ns.mu*(1+ns.rho)*tau {
-			slowBlocked = true
+		if est, ok := ns.est.Estimate(v, ns.hw); ok {
+			ns.rule.Vote(&votes, ns.l, est, eps, ns.link.Tau)
 		}
 	}
-	switch {
-	case slowWitness && !slowBlocked:
-		ns.slow++
-		return 1
-	case fastWitness && !fastBlocked:
+	mult, fast := ns.rule.Mode(votes, ns.l, ns.m, ns.mult)
+	if fast {
 		ns.fast++
-		return 1 + ns.mu
-	case lu >= ns.m-1e-12:
+	} else {
 		ns.slow++
-		return 1
-	case lu <= ns.m-ns.iota:
-		ns.fast++
-		return 1 + ns.mu
-	default:
-		if ns.mult > 1 {
-			ns.fast++
-		} else {
-			ns.slow++
-		}
-		return ns.mult
 	}
+	return mult
 }
 
 // beacon snapshots the node's send payload.

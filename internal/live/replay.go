@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/baselines"
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
@@ -43,7 +44,7 @@ func Replay(h TraceHeader, recs []TraceRecord) (ReplayResult, error) {
 		adj[e[1]] = append(adj[e[1]], e[0])
 	}
 	p := params{
-		S: h.S, Rho: h.Rho, Mu: h.Mu, Iota: h.Iota,
+		Rule: baselines.BlockRule{S: h.S, Rho: h.Rho, Mu: h.Mu, Iota: h.Iota},
 		Tick: h.Tick, BeaconInterval: h.BeaconInterval, Link: h.Link.link(),
 	}
 	states := make([]*nodeState, h.N)

@@ -190,12 +190,10 @@ func New(cfg Config) (*Runtime, error) {
 	engine.SetEventParallelism(cfg.EventParallelism)
 	rng := sim.NewRNG(cfg.Seed)
 	dyn := topo.NewDynamic(cfg.N, engine, rng.Split())
-	// The sharded drain windows on the minimum link transit time — the
-	// classic conservative-PDES lookahead: no beacon can cross a link in
-	// less, so events within a window cannot affect each other's shards.
-	// The per-shard bound (min over a shard's *incoming* pairs) refines the
-	// global ratchet, which stays installed as the fallback.
-	engine.SetLookahead(dyn.MinTransit)
+	// The sharded drain windows each shard on the minimum transit time of
+	// the links into it — the classic conservative-PDES lookahead: no
+	// beacon can reach the shard in less, so events within a window cannot
+	// affect each other's shards.
 	engine.SetShardLookahead(dyn.InTransit)
 	net := transport.NewNetwork(engine, dyn, rng.Split(), cfg.Delay)
 	rt := &Runtime{

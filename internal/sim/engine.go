@@ -14,9 +14,10 @@
 // On top of the global queue the engine supports a sharded event drain
 // (conservative parallel PDES): external shard-partitioned event streams
 // register as Sources and are drained in parallel windows bounded by a
-// caller-provided lookahead — the minimum link transit time Delay−Uncertainty
-// in the reproduced model. See DESIGN.md ("Sharded event drain") for the
-// shard keying, the safe-horizon bound and the determinism argument.
+// caller-provided per-shard lookahead — the minimum incoming link transit
+// time Delay−Uncertainty in the reproduced model. See DESIGN.md ("Sharded
+// event drain") for the shard keying, the safe-horizon bound and the
+// determinism argument.
 package sim
 
 import (
@@ -112,14 +113,13 @@ type Engine struct {
 	// Sharded drain state. shards is the window parallelism K (1 = serial);
 	// sources fire in registration order at equal times, with serial sources
 	// (serialSrc) always stepped one item at a time outside windows.
-	// lookahead/shardLookahead return the conservative window width (min link
-	// transit, optionally per receiving shard); reference forces the serially
+	// shardLookahead returns the conservative window width per receiving
+	// shard (min incoming link transit); reference forces the serially
 	// merged drain at any K, retained as the differential oracle.
 	shards         int
 	pool           *par.Pool
 	sources        []Source
 	serialSrc      []bool
-	lookahead      func() float64
 	shardLookahead func(shard int) float64
 	reference      bool
 	inWindow       bool
@@ -259,29 +259,22 @@ func (e *Engine) EventShards() int { return e.shards }
 // event.
 func (e *Engine) SetReferenceDrain(on bool) { e.reference = on }
 
-// SetLookahead installs the conservative window bound: f returns the
-// minimum time any source item fired now can take to affect another shard
-// (the model's minimum link transit, Delay−Uncertainty). +Inf is sound when
-// no interaction is possible; values ≤ 0 disable windowing (the drain
-// degrades to serial steps). When SetShardLookahead is also installed it
-// takes precedence.
-func (e *Engine) SetLookahead(f func() float64) { e.lookahead = f }
-
-// SetShardLookahead installs a per-receiving-shard window bound: f(s) returns
-// the minimum transit time over every (sender shard → s) pair, so shard s's
-// window may extend to tmin + f(s) even when some other shard pair has a
-// faster link. Soundness: an item fired at t on shard g can affect shard s no
-// earlier than t + pair(g,s) ≥ tmin + f(s), and that holds for g = s too
-// because f(s) ≤ pair(s,s). Overrides SetLookahead when non-nil.
+// SetShardLookahead installs the conservative window bound, per receiving
+// shard: f(s) returns the minimum time any source item fired now, on any
+// shard, can take to affect shard s (in the reproduced model the minimum
+// link transit Delay−Uncertainty over every link into s). Shard s's window
+// may then extend to tmin + f(s) even when some other shard has a faster
+// incoming link. Soundness: an item fired at t ≥ tmin on shard g can affect
+// shard s no earlier than t + f(s), and that holds for g = s too. +Inf is
+// sound when no interaction is possible; values ≤ 0 disable windowing for
+// that shard (the drain degrades to serial steps). Without a bound every
+// window is limited by the next global event alone.
 func (e *Engine) SetShardLookahead(f func(shard int) float64) { e.shardLookahead = f }
 
 // shardLa returns the effective lookahead for shard s.
 func (e *Engine) shardLa(s int) float64 {
 	if e.shardLookahead != nil {
 		return e.shardLookahead(s)
-	}
-	if e.lookahead != nil {
-		return e.lookahead()
 	}
 	return math.Inf(1)
 }

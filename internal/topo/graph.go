@@ -112,22 +112,15 @@ type Dynamic struct {
 	engine   *sim.Engine
 	rng      *sim.RNG
 	listener Listener
-	// minTransit is the minimum Delay−Uncertainty over every link ever
-	// declared — the conservative lookahead the sharded event drain windows
-	// on. It only ratchets down (a re-declare that raises a link's transit
-	// does not raise the bound), which keeps it sound without rescanning:
-	// the true minimum over declared links can never be below it.
-	minTransit float64
-	// Per-shard-pair transit bounds for the sharded drain (kShards = the
-	// engine's event parallelism; nodes map to shards by id mod kShards).
-	// pairTransit[g*kShards+s] is the ratcheted minimum Delay−Uncertainty
-	// over links from a node in shard g to a node in shard s; inMin[s] is the
-	// minimum over all incoming pairs — the bound InTransit feeds the drain.
-	// Both ratchet exactly like minTransit; RecomputeTransit rescans on
-	// demand after churn retires fast links.
-	kShards     int
-	pairTransit []float64
-	inMin       []float64
+	// inMin[s] is the minimum Delay−Uncertainty over every link ever
+	// declared with an endpoint in event shard s (kShards = the engine's
+	// event parallelism; nodes map to shards by id mod kShards) — the
+	// per-shard lookahead the sharded event drain windows on. It only
+	// ratchets down (a re-declare that raises a link's transit or an
+	// undeclare does not raise the bound), which keeps it sound without
+	// rescanning: the true minimum over declared links can never be below it.
+	kShards int
+	inMin   []float64
 	// onDeclare hooks run after each newly declared link (never for
 	// re-declares); the Messaging estimate layer uses them to size and reset
 	// its per-handle sample records so beacon ingestion stays structurally
@@ -155,20 +148,15 @@ func NewDynamic(n int, engine *sim.Engine, rng *sim.RNG) *Dynamic {
 		k = engine.EventShards()
 	}
 	d := &Dynamic{
-		n:           n,
-		engine:      engine,
-		rng:         rng,
-		idx:         make(map[uint64]int32),
-		adj:         csr.NewRows(n),
-		classIdx:    make(map[LinkParams]int32),
-		churn:       make(map[int32]*churnState),
-		minTransit:  math.Inf(1),
-		kShards:     k,
-		pairTransit: make([]float64, k*k),
-		inMin:       make([]float64, k),
-	}
-	for i := range d.pairTransit {
-		d.pairTransit[i] = math.Inf(1)
+		n:        n,
+		engine:   engine,
+		rng:      rng,
+		idx:      make(map[uint64]int32),
+		adj:      csr.NewRows(n),
+		classIdx: make(map[LinkParams]int32),
+		churn:    make(map[int32]*churnState),
+		kShards:  k,
+		inMin:    make([]float64, k),
 	}
 	for i := range d.inMin {
 		d.inMin[i] = math.Inf(1)
@@ -176,61 +164,14 @@ func NewDynamic(n int, engine *sim.Engine, rng *sim.RNG) *Dynamic {
 	return d
 }
 
-// MinTransit returns the minimum Delay−Uncertainty over all links ever
-// declared, or +Inf when none exist. Monotone non-increasing over a run, so
-// it is always a sound (if conservative) window bound for the sharded event
-// drain: no message can cross a link faster.
-func (d *Dynamic) MinTransit() float64 { return d.minTransit }
-
-// InTransit returns the minimum Delay−Uncertainty over every link whose
-// receiver lives in event shard s (ratcheted like MinTransit, per
-// sender-shard pair), or +Inf when shard s has no incoming links. This is
-// the per-shard lookahead of the sharded drain: no message can reach a node
-// of shard s faster, from any shard — including s itself.
+// InTransit returns the minimum Delay−Uncertainty over every link ever
+// declared with an endpoint in event shard s (both directions carry
+// messages, so either endpoint is a receiver), or +Inf when shard s has no
+// links. Monotone non-increasing over a run,
+// so it is always a sound (if conservative) per-shard lookahead for the
+// sharded drain: no message can reach a node of shard s faster, from any
+// shard — including s itself.
 func (d *Dynamic) InTransit(s int) float64 { return d.inMin[s] }
-
-// PairTransit returns the ratcheted minimum transit bound for links from
-// sender shard g to receiver shard s (+Inf when no such link was declared).
-func (d *Dynamic) PairTransit(g, s int) float64 { return d.pairTransit[g*d.kShards+s] }
-
-// pairRatchet folds one directed link bound into the K×K matrix.
-func (d *Dynamic) pairRatchet(from, to int, mt float64) {
-	g, s := from%d.kShards, to%d.kShards
-	if i := g*d.kShards + s; mt < d.pairTransit[i] {
-		d.pairTransit[i] = mt
-		if mt < d.inMin[s] {
-			d.inMin[s] = mt
-		}
-	}
-}
-
-// RecomputeTransit rescans every currently declared link and resets the
-// global and per-pair transit bounds to the true minima, undoing the ratchet
-// for links that have since been undeclared or re-declared slower. Purely a
-// performance lever for the drain lookahead — window layout never affects
-// results — so callers invoke it explicitly (e.g. after churn retires a
-// fast edge class) from a serial context, never inside a window.
-func (d *Dynamic) RecomputeTransit() {
-	inf := math.Inf(1)
-	d.minTransit = inf
-	for i := range d.pairTransit {
-		d.pairTransit[i] = inf
-	}
-	for i := range d.inMin {
-		d.inMin[i] = inf
-	}
-	visit := func(u, v int, p LinkParams) {
-		mt := p.Delay - p.Uncertainty
-		if mt < d.minTransit {
-			d.minTransit = mt
-		}
-		d.pairRatchet(u, v, mt)
-		d.pairRatchet(v, u, mt)
-	}
-	for _, slot := range d.idx {
-		visit(int(d.eU[slot]), int(d.eV[slot]), d.classes[d.eClass[slot]])
-	}
-}
 
 // SetListener installs the visibility-transition listener.
 func (d *Dynamic) SetListener(l Listener) { d.listener = l }
@@ -269,11 +210,11 @@ func (d *Dynamic) DeclareLink(a, b int, p LinkParams) error {
 	}
 	id := MakeEdgeID(a, b)
 	mt := p.Delay - p.Uncertainty
-	if mt < d.minTransit {
-		d.minTransit = mt
+	for _, s := range [2]int{a % d.kShards, b % d.kShards} {
+		if mt < d.inMin[s] {
+			d.inMin[s] = mt
+		}
 	}
-	d.pairRatchet(a, b, mt)
-	d.pairRatchet(b, a, mt)
 	if slot, ok := d.idx[id.pack()]; ok {
 		d.eClass[slot] = d.classOf(p)
 		return nil
@@ -302,7 +243,7 @@ func (d *Dynamic) DeclareLink(a, b int, p LinkParams) error {
 
 // Undeclare removes a declared link entirely, returning its slot to the
 // free list. The link must be invisible to both endpoints; any in-flight
-// detection events are cancelled. MinTransit deliberately stays at its
+// detection events are cancelled. InTransit deliberately stays at its
 // ratcheted value (it is a sound lower bound, and rescanning would make the
 // drain lookahead depend on removal order).
 func (d *Dynamic) Undeclare(a, b int) error {

@@ -59,8 +59,6 @@ func newRefDynamic(n int, engine *sim.Engine, rng *sim.RNG) *refDynamic {
 	return r
 }
 
-func (r *refDynamic) MinTransit() float64 { return r.minTransit }
-
 func (r *refDynamic) DeclareLink(a, b int, p LinkParams) error {
 	if a == b {
 		return fmt.Errorf("self-loop {%d,%d}", a, b)
@@ -265,8 +263,9 @@ func (p *layoutPair) check(t *testing.T, ctx string) {
 	if len(ss) != len(rs) {
 		t.Fatalf("%s: stable %d edges, reference %d", ctx, len(ss), len(rs))
 	}
-	if p.soa.MinTransit() != p.ref.MinTransit() {
-		t.Fatalf("%s: MinTransit %v vs reference %v", ctx, p.soa.MinTransit(), p.ref.MinTransit())
+	// One event shard: InTransit(0) is the ratchet over every declared link.
+	if p.soa.InTransit(0) != p.ref.minTransit {
+		t.Fatalf("%s: InTransit(0) %v vs reference %v", ctx, p.soa.InTransit(0), p.ref.minTransit)
 	}
 	for _, id := range sd {
 		for _, pair := range [][2]int{{id.U, id.V}, {id.V, id.U}} {

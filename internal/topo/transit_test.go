@@ -1,13 +1,13 @@
 package topo
 
-// Fuzz-style differential for the K×K per-shard-pair transit matrix that
-// bounds the sharded event drain's windows: randomized scripts of declares,
-// re-declares (parameter updates while down), undeclares and explicit
-// recomputes are shadowed by a brute-force model that rescans the currently
-// declared edge set from scratch. Between recomputes the incremental ratchet
-// must stay a sound lower bound (smaller-or-equal lookahead = narrower
-// windows = safe); immediately after RecomputeTransit it must match the
-// brute-force minima exactly.
+// Fuzz-style differential for the per-shard incoming transit bound that
+// limits the sharded event drain's windows: randomized scripts of declares,
+// re-declares (parameter updates while down) and undeclares are shadowed by
+// two brute-force models. The bound must stay sound — at most the minimum
+// Delay−Uncertainty over the links declared right now (smaller-or-equal
+// lookahead = narrower windows = safe) — and it must be exact against the
+// minimum over every link ever declared, so a ratchet that sits lower than
+// the declares justify (narrower windows than needed) fails too.
 
 import (
 	"math"
@@ -17,96 +17,66 @@ import (
 	"repro/internal/sim"
 )
 
-// bruteTransit recomputes the global, per-pair and per-shard-incoming minima
-// of Delay−Uncertainty over the currently declared edges, from scratch.
+// bruteTransit keeps the currently declared edges and the ever-declared
+// per-shard minima, and recomputes the current per-shard incoming minima
+// from scratch.
 type bruteTransit struct {
-	k      int
-	edges  map[EdgeID]LinkParams
-	global float64
-	pair   []float64
-	in     []float64
+	k     int
+	edges map[EdgeID]LinkParams
+	ever  []float64
+	in    []float64
 }
 
 func newBruteTransit(k int) *bruteTransit {
-	return &bruteTransit{k: k, edges: make(map[EdgeID]LinkParams)}
+	b := &bruteTransit{k: k, edges: make(map[EdgeID]LinkParams), ever: make([]float64, k)}
+	for i := range b.ever {
+		b.ever[i] = math.Inf(1)
+	}
+	return b
+}
+
+// declare records a DeclareLink of {u, v} with parameters p.
+func (b *bruteTransit) declare(u, v int, p LinkParams) {
+	b.edges[MakeEdgeID(u, v)] = p
+	mt := p.Delay - p.Uncertainty
+	for _, s := range [2]int{u % b.k, v % b.k} {
+		b.ever[s] = math.Min(b.ever[s], mt)
+	}
 }
 
 func (b *bruteTransit) recompute() {
-	inf := math.Inf(1)
-	b.global = inf
-	b.pair = make([]float64, b.k*b.k)
 	b.in = make([]float64, b.k)
-	for i := range b.pair {
-		b.pair[i] = inf
-	}
 	for i := range b.in {
-		b.in[i] = inf
-	}
-	fold := func(from, to int, mt float64) {
-		g, s := from%b.k, to%b.k
-		if mt < b.pair[g*b.k+s] {
-			b.pair[g*b.k+s] = mt
-		}
-		if mt < b.in[s] {
-			b.in[s] = mt
-		}
+		b.in[i] = math.Inf(1)
 	}
 	for id, p := range b.edges {
 		mt := p.Delay - p.Uncertainty
-		if mt < b.global {
-			b.global = mt
+		for _, s := range [2]int{id.U % b.k, id.V % b.k} {
+			b.in[s] = math.Min(b.in[s], mt)
 		}
-		fold(id.U, id.V, mt)
-		fold(id.V, id.U, mt)
 	}
 }
 
-// checkSound verifies the ratchet invariant: every incremental bound is ≤ the
-// brute-force minimum over the edges declared right now (undeclared fast
-// edges may keep the ratchet lower — conservative, never higher).
-func checkSound(t *testing.T, step int, d *Dynamic, b *bruteTransit) {
+// check verifies, for every shard, that InTransit is a sound lower bound
+// over the links declared now (undeclared or re-declared fast links may
+// keep it lower — conservative, never higher) and equals the minimum over
+// every link ever declared.
+func check(t *testing.T, step int, d *Dynamic, b *bruteTransit) {
 	t.Helper()
 	b.recompute()
-	if d.MinTransit() > b.global {
-		t.Fatalf("step %d: MinTransit %v exceeds brute-force %v", step, d.MinTransit(), b.global)
-	}
 	for s := 0; s < b.k; s++ {
 		if d.InTransit(s) > b.in[s] {
 			t.Fatalf("step %d: InTransit(%d) %v exceeds brute-force %v", step, s, d.InTransit(s), b.in[s])
 		}
-		for g := 0; g < b.k; g++ {
-			if d.PairTransit(g, s) > b.pair[g*b.k+s] {
-				t.Fatalf("step %d: PairTransit(%d,%d) %v exceeds brute-force %v",
-					step, g, s, d.PairTransit(g, s), b.pair[g*b.k+s])
-			}
+		if d.InTransit(s) != b.ever[s] {
+			t.Fatalf("step %d: InTransit(%d) %v, ever-declared minimum %v", step, s, d.InTransit(s), b.ever[s])
 		}
 	}
 }
 
-// checkExact verifies bitwise equality with the brute-force minima — the
-// post-RecomputeTransit contract.
-func checkExact(t *testing.T, step int, d *Dynamic, b *bruteTransit) {
-	t.Helper()
-	b.recompute()
-	if d.MinTransit() != b.global {
-		t.Fatalf("step %d: after recompute MinTransit %v, brute-force %v", step, d.MinTransit(), b.global)
-	}
-	for s := 0; s < b.k; s++ {
-		if d.InTransit(s) != b.in[s] {
-			t.Fatalf("step %d: after recompute InTransit(%d) %v, brute-force %v", step, s, d.InTransit(s), b.in[s])
-		}
-		for g := 0; g < b.k; g++ {
-			if d.PairTransit(g, s) != b.pair[g*b.k+s] {
-				t.Fatalf("step %d: after recompute PairTransit(%d,%d) %v, brute-force %v",
-					step, g, s, d.PairTransit(g, s), b.pair[g*b.k+s])
-			}
-		}
-	}
-}
-
-// TestPairTransitFuzz runs randomized declare/undeclare/recompute scripts at
-// several shard counts against the brute-force shadow.
-func TestPairTransitFuzz(t *testing.T) {
+// TestInTransitFuzz runs randomized declare/undeclare scripts at several
+// shard counts against the brute-force shadows.
+func TestInTransitFuzz(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 5, 8} {
 		for seed := int64(0); seed < 6; seed++ {
 			rng := rand.New(rand.NewSource(seed*100 + int64(k)))
@@ -126,8 +96,7 @@ func TestPairTransitFuzz(t *testing.T) {
 				}
 			}
 			for step := 0; step < 400; step++ {
-				switch op := rng.Intn(10); {
-				case op < 6: // declare or re-declare (params update while down)
+				if rng.Intn(10) < 6 { // declare or re-declare (params update while down)
 					u := rng.Intn(n)
 					v := rng.Intn(n)
 					if u == v {
@@ -137,43 +106,40 @@ func TestPairTransitFuzz(t *testing.T) {
 					if err := d.DeclareLink(u, v, p); err != nil {
 						t.Fatalf("step %d: DeclareLink(%d,%d): %v", step, u, v, err)
 					}
-					b.edges[MakeEdgeID(u, v)] = p
-					checkSound(t, step, d, b)
-				case op < 9: // undeclare a random currently declared edge
-					var pick EdgeID
-					found := false
-					for id := range b.edges {
-						pick = id
-						found = true
-						break
-					}
-					if !found {
-						continue
-					}
-					if err := d.Undeclare(pick.U, pick.V); err != nil {
-						t.Fatalf("step %d: Undeclare(%d,%d): %v", step, pick.U, pick.V, err)
-					}
-					delete(b.edges, pick)
-					checkSound(t, step, d, b)
-				default:
-					d.RecomputeTransit()
-					checkExact(t, step, d, b)
+					b.declare(u, v, p)
+					check(t, step, d, b)
+					continue
 				}
+				// Undeclare a random currently declared edge.
+				var pick EdgeID
+				found := false
+				for id := range b.edges {
+					pick = id
+					found = true
+					break
+				}
+				if !found {
+					continue
+				}
+				if err := d.Undeclare(pick.U, pick.V); err != nil {
+					t.Fatalf("step %d: Undeclare(%d,%d): %v", step, pick.U, pick.V, err)
+				}
+				delete(b.edges, pick)
+				check(t, step, d, b)
 			}
-			d.RecomputeTransit()
-			checkExact(t, 400, d, b)
 		}
 	}
 }
 
-// TestInTransitRefinesGlobal pins the relation the engine's per-shard window
-// bound relies on: for every shard, the incoming minimum is at least the
-// global minimum, and at least one shard attains the global minimum.
+// TestInTransitRefinesGlobal pins what the per-shard window bound buys over
+// one global bound: every shard's incoming minimum is at least the minimum
+// over all declared links, and at least one shard attains it.
 func TestInTransitRefinesGlobal(t *testing.T) {
 	engine := sim.NewEngine()
 	engine.SetEventParallelism(4)
 	d := NewDynamic(32, engine, sim.NewRNG(1))
 	rng := rand.New(rand.NewSource(9))
+	global := math.Inf(1)
 	for i := 0; i < 40; i++ {
 		u, v := rng.Intn(32), rng.Intn(32)
 		if u == v {
@@ -184,17 +150,18 @@ func TestInTransitRefinesGlobal(t *testing.T) {
 		if err := d.DeclareLink(u, v, p); err != nil {
 			t.Fatal(err)
 		}
+		global = math.Min(global, p.Delay-p.Uncertainty)
 	}
 	attained := false
 	for s := 0; s < engine.EventShards(); s++ {
-		if d.InTransit(s) < d.MinTransit() {
-			t.Fatalf("InTransit(%d)=%v below global MinTransit %v", s, d.InTransit(s), d.MinTransit())
+		if d.InTransit(s) < global {
+			t.Fatalf("InTransit(%d)=%v below the global minimum %v", s, d.InTransit(s), global)
 		}
-		if d.InTransit(s) == d.MinTransit() {
+		if d.InTransit(s) == global {
 			attained = true
 		}
 	}
 	if !attained {
-		t.Fatalf("no shard attains the global MinTransit %v", d.MinTransit())
+		t.Fatalf("no shard attains the global minimum %v", global)
 	}
 }

@@ -90,16 +90,17 @@ func (s ShiftDelay) Draw(_ *sim.Stream, from, to int, p topo.LinkParams) float64
 	return p.Delay
 }
 
-// message is one pooled in-flight beacon record. Records are recycled
-// through a per-shard free list, so the steady-state send/deliver path
-// allocates nothing. Fields are packed to keep the record at 56 bytes
-// (int32 ids, uint32 seq, 4 bytes of padding) — in-flight slabs are a
-// top-line memory consumer at N=10⁷.
-type message struct {
+// rec is one pooled in-flight message: a beacon (P = Beacon) or a control
+// (P = any). Records are recycled through a per-shard free list, so the
+// steady-state send/deliver path allocates nothing. Fields are packed to
+// keep the record at 56 bytes for both payloads (int32 ids, uint32 seq,
+// 4 bytes of padding) — in-flight slabs are a top-line memory consumer at
+// N=10⁷.
+type rec[P any] struct {
 	from, to int32
-	// seq is the sender's beacon send counter, the last tie-break of the
+	// seq is the sender's per-class send counter, the last tie-break of the
 	// content key: it preserves FIFO among same-(from,to) same-deadline
-	// beacons and — unlike a global sequence — is identical at every shard
+	// messages and — unlike a global sequence — is identical at every shard
 	// count. uint32 wraps after 4.3·10⁹ sends per sender, orders of
 	// magnitude beyond any run, and a wrap could only reorder same-deadline
 	// same-pair messages.
@@ -107,20 +108,149 @@ type message struct {
 	deadline   sim.Time
 	sentAt     sim.Time
 	minTransit float64
-	beacon     Beacon
+	payload    P
+}
+
+// delivery is the receiver-visible metadata of r, delivered at now.
+func (r *rec[P]) delivery(now sim.Time) Delivery {
+	return Delivery{
+		From:       int(r.from),
+		To:         int(r.to),
+		SentAt:     r.sentAt,
+		At:         now,
+		MinTransit: r.minTransit,
+	}
+}
+
+// queue is a pooled deadline queue: a record slab, a free list of recycled
+// slots and a 4-ary min-heap of slots ordered by the content key. It has the
+// shape of internal/sim's event queue (see Engine) but only ever pops the
+// root, so its records keep no heap position; the engine's do, because
+// Cancel removes events at arbitrary positions.
+type queue[P any] struct {
+	msgs []rec[P] // pooled record slab
+	free []int32  // recycled slots
+	heap []int32  // 4-ary min-heap of slots, ordered by the content key
+}
+
+// peek returns the earliest pending deadline, or +Inf when none.
+func (q *queue[P]) peek() sim.Time {
+	if len(q.heap) == 0 {
+		return math.Inf(1)
+	}
+	return q.msgs[q.heap[0]].deadline
+}
+
+// push inserts a record, taking a slot from the free list and growing the
+// slab only when the pool is dry.
+func (q *queue[P]) push(r rec[P]) {
+	var slot int32
+	if l := len(q.free); l > 0 {
+		slot = q.free[l-1]
+		q.free = q.free[:l-1]
+	} else {
+		slot = int32(len(q.msgs))
+		q.msgs = append(q.msgs, rec[P]{})
+	}
+	q.msgs[slot] = r
+	q.heap = append(q.heap, slot)
+	q.siftUp(len(q.heap) - 1)
+}
+
+// root returns the earliest record; it stays valid until pop.
+func (q *queue[P]) root() *rec[P] { return &q.msgs[q.heap[0]] }
+
+// pop removes the earliest record and recycles its slot with the payload
+// cleared, so a released control drops its reference and a handler that
+// sends again may reuse the slot. Callers read the record through root
+// first.
+func (q *queue[P]) pop() {
+	slot := q.heap[0]
+	var zero P
+	q.msgs[slot].payload = zero
+	l := len(q.heap) - 1
+	q.heap[0] = q.heap[l]
+	q.heap = q.heap[:l]
+	if l > 0 {
+		q.siftDown(0)
+	}
+	q.free = append(q.free, slot)
+}
+
+// slabBytes is the queue's retained storage (heap and free entries are
+// int32 slots).
+func (q *queue[P]) slabBytes() uint64 {
+	return uint64(cap(q.msgs))*uint64(unsafe.Sizeof(rec[P]{})) + uint64(cap(q.free)+cap(q.heap))*4
+}
+
+// less orders records by the content key (deadline, to, from, sender-seq):
+// a total order over distinct messages of one class that depends only on
+// the messages themselves, so delivery order is identical at every shard
+// count. Among same-pair ties the sender-seq keeps FIFO send order.
+func (ma *rec[P]) less(mb *rec[P]) bool {
+	if ma.deadline != mb.deadline {
+		return ma.deadline < mb.deadline
+	}
+	if ma.to != mb.to {
+		return ma.to < mb.to
+	}
+	if ma.from != mb.from {
+		return ma.from < mb.from
+	}
+	return ma.seq < mb.seq
+}
+
+func (q *queue[P]) siftUp(i int) {
+	h, msgs := q.heap, q.msgs
+	slot := h[i]
+	for i > 0 {
+		p := (i - 1) >> 2
+		if !msgs[slot].less(&msgs[h[p]]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = slot
+}
+
+func (q *queue[P]) siftDown(i int) {
+	h, msgs := q.heap, q.msgs
+	l := len(h)
+	slot := h[i]
+	for {
+		c := i<<2 + 1
+		if c >= l {
+			break
+		}
+		best := c
+		end := c + 4
+		if end > l {
+			end = l
+		}
+		for j := c + 1; j < end; j++ {
+			if msgs[h[j]].less(&msgs[h[best]]) {
+				best = j
+			}
+		}
+		if !msgs[h[best]].less(&msgs[slot]) {
+			break
+		}
+		h[i] = h[best]
+		i = best
+	}
+	h[i] = slot
 }
 
 // netShard owns the in-flight beacons addressed to the receivers it is
 // keyed to (shard = receiver mod K). During a parallel window only the
-// owning shard pops its heap; sends whose receiver lives on another shard
+// owning shard pops its queue; sends whose receiver lives on another shard
 // are staged in out[recvShard] and folded at the window barrier, so cell
 // (g, s) of the outbox matrix is written only by shard g in the drain phase
 // and read only by shard s in the flush phase — never both at once.
 type netShard struct {
-	msgs          []message // pooled record slab
-	free          []int32   // recycled slots
-	heap          []int32   // 4-ary min-heap of slots, ordered by the content key
-	out           [][]message
+	queue[Beacon]
+	out           [][]rec[Beacon]
 	sent, dropped uint64
 	_             [2]uint64 // pad: shards bump counters concurrently
 }
@@ -130,24 +260,25 @@ type netShard struct {
 // the model's guarantee that delivery is assured only while the estimate
 // edge persists at the receiver.
 //
-// Beacons — the high-volume traffic — live in per-shard pooled deadline
-// queues registered with the engine as a sim.Source, which is what the
-// sharded event drain parallelizes. Control messages (handshake-rate) live
-// in their own receiver-sharded pooled queues registered as a *serial*
-// source (sim.Engine.AddSerialSource): their handlers need serial-context
-// rights — they schedule global retry timers and read cross-shard skew
-// state — so each control fires one at a time at its own timestamp, but a
-// pending control no longer truncates parallel windows; the engine clamps
-// the post-window clock back to it instead. Delivery order at equal
-// deadlines is the content key (deadline, to, from, sender-seq) for both
-// classes — deterministic and independent of the shard count — with beacons
-// due at the same instant delivered before controls (source registration
-// order) and global events before either.
-//
-// The slab/free-list/4-ary-heap machinery has the shape of internal/sim's
-// event queue (see Engine) but only ever pops the root, so its records keep
-// no heap position; the engine's do, because Cancel removes events at
-// arbitrary positions.
+// Both traffic classes live in receiver-sharded pooled deadline queues of
+// one kind (queue): beacons with P = Beacon, controls with P = any. Beacons
+// — the high-volume traffic — are registered with the engine as a
+// sim.Source, which is what the sharded event drain parallelizes; their
+// windows are bounded per receiving shard by topo.Dynamic.InTransit, and a
+// cross-shard send inside a window lands at or after the window's end.
+// Controls (handshake-rate) are registered as a *serial* source
+// (sim.Engine.AddSerialSource): their handlers need serial-context rights —
+// they schedule global retry timers and read cross-shard skew state — so
+// each control fires one at a time at its own timestamp, but a pending
+// control does not truncate parallel windows; the engine clamps the
+// post-window clock back to it instead. Within one receiving shard,
+// delivery order at equal deadlines is the content key (deadline, to, from,
+// sender-seq) for both classes, with beacons due at the same instant
+// delivered before controls (source registration order) and global events
+// before either. With K = 1 that is the whole order. With K > 1 the engine
+// breaks a deadline tie between shards by shard index, so equal-deadline
+// controls to receivers on different shards fire in shard order, not
+// content-key order.
 type Network struct {
 	engine  *sim.Engine
 	dyn     *topo.Dynamic
@@ -164,28 +295,10 @@ type Network struct {
 	ctlSeq    []uint32
 
 	// ctlShards are the receiver-sharded pooled control queues, drained
-	// through the controlQueue serial source.
-	ctlShards []ctlShard
-}
-
-// control is one pooled in-flight control message.
-type control struct {
-	from, to   int32
-	seq        uint32 // sender's control send counter (content-key tie-break)
-	sentAt     sim.Time
-	deadline   sim.Time
-	minTransit float64
-	payload    any
-}
-
-// ctlShard owns the in-flight controls addressed to the receivers it is
-// keyed to (shard = receiver mod K). Controls are only pushed and popped in
-// serial contexts, so unlike netShard it needs no outboxes or counter
-// padding.
-type ctlShard struct {
-	ctls []control // pooled record slab
-	free []int32   // recycled slots
-	heap []int32   // 4-ary min-heap of slots, ordered by the content key
+	// through the controlQueue serial source. Controls are only pushed and
+	// popped in serial contexts, so unlike netShard they need no outboxes
+	// or counter padding.
+	ctlShards []queue[any]
 }
 
 // NewNetwork wires a transport over the given graph and registers it as an
@@ -200,7 +313,7 @@ func NewNetwork(engine *sim.Engine, dyn *topo.Dynamic, rng *sim.RNG, policy Dela
 	k := engine.EventShards()
 	n.shards = make([]netShard, k)
 	for s := range n.shards {
-		n.shards[s].out = make([][]message, k)
+		n.shards[s].out = make([][]rec[Beacon], k)
 	}
 	base := rng.Uint64()
 	n.streams = make([]sim.Stream, dyn.N())
@@ -209,7 +322,7 @@ func NewNetwork(engine *sim.Engine, dyn *topo.Dynamic, rng *sim.RNG, policy Dela
 	}
 	n.senderSeq = make([]uint32, dyn.N())
 	n.ctlSeq = make([]uint32, dyn.N())
-	n.ctlShards = make([]ctlShard, k)
+	n.ctlShards = make([]queue[any], k)
 	engine.AddSource(n)
 	engine.AddSerialSource((*controlQueue)(n))
 	return n
@@ -217,9 +330,6 @@ func NewNetwork(engine *sim.Engine, dyn *topo.Dynamic, rng *sim.RNG, policy Dela
 
 // SetHandler installs the traffic handler.
 func (n *Network) SetHandler(h Handler) { n.handler = h }
-
-// SetPolicy replaces the delay adversary (usable mid-run).
-func (n *Network) SetPolicy(p DelayPolicy) { n.policy = p }
 
 // Sent returns the number of messages handed to the transport (diagnostic).
 func (n *Network) Sent() uint64 {
@@ -248,22 +358,17 @@ func (n *Network) Dropped() uint64 {
 // (TestTransportSlabFootprintRing), complementing the whole-process live-heap
 // measurement.
 func (n *Network) SlabBytes() uint64 {
-	const slotBytes = 4 // heap/free entries are int32 slots
+	const slotBytes = 4 // sequence counters are uint32
 	total := uint64(0)
-	msgSize := uint64(unsafe.Sizeof(message{}))
 	for s := range n.shards {
 		sh := &n.shards[s]
-		total += uint64(cap(sh.msgs)) * msgSize
-		total += uint64(cap(sh.free)+cap(sh.heap)) * slotBytes
+		total += sh.slabBytes()
 		for d := range sh.out {
-			total += uint64(cap(sh.out[d])) * msgSize
+			total += uint64(cap(sh.out[d])) * uint64(unsafe.Sizeof(rec[Beacon]{}))
 		}
 	}
-	ctlSize := uint64(unsafe.Sizeof(control{}))
 	for s := range n.ctlShards {
-		sh := &n.ctlShards[s]
-		total += uint64(cap(sh.ctls)) * ctlSize
-		total += uint64(cap(sh.free)+cap(sh.heap)) * slotBytes
+		total += n.ctlShards[s].slabBytes()
 	}
 	total += uint64(len(n.streams)) * uint64(unsafe.Sizeof(sim.Stream{}))
 	total += uint64(cap(n.senderSeq)+cap(n.ctlSeq)) * slotBytes
@@ -288,29 +393,15 @@ func (n *Network) SendBeaconAt(from, to int, b Beacon, at sim.Time) {
 	k := len(n.shards)
 	src := &n.shards[from%k]
 	src.sent++
-	m := message{
-		from:       int32(from),
-		to:         int32(to),
-		seq:        n.senderSeq[from],
-		sentAt:     at,
-		minTransit: params.Delay - params.Uncertainty,
-		beacon:     b,
-	}
+	m := rec[Beacon]{from: int32(from), to: int32(to), seq: n.senderSeq[from], sentAt: at, payload: b}
 	n.senderSeq[from]++
-	delay := n.policy.Draw(&n.streams[from], from, to, params)
-	if delay < m.minTransit {
-		delay = m.minTransit
-	}
-	if delay > params.Delay {
-		delay = params.Delay
-	}
-	m.deadline = at + delay
+	m.deadline, m.minTransit = n.transit(from, to, params, at)
 	dst := to % k
 	if n.engine.InWindow() && dst != from%k {
 		// Cross-shard send inside a window: stage for the barrier fold. The
-		// deadline is ≥ window-start + lookahead ≥ window-end (lookahead is
-		// the min link transit), so deferring the push past the window can
-		// never skip a due delivery.
+		// deadline is ≥ window-start + InTransit(dst) ≥ the window's end on
+		// shard dst, so deferring the push past the window can never skip a
+		// due delivery.
 		src.out[dst] = append(src.out[dst], m)
 		return
 	}
@@ -333,25 +424,25 @@ func (n *Network) SendControl(from, to int, payload any) {
 	}
 	n.shards[from%len(n.shards)].sent++
 	at := n.engine.Now()
-	minTransit := params.Delay - params.Uncertainty
-	delay := n.policy.Draw(&n.streams[from], from, to, params)
+	c := rec[any]{from: int32(from), to: int32(to), seq: n.ctlSeq[from], sentAt: at, payload: payload}
+	n.ctlSeq[from]++
+	c.deadline, c.minTransit = n.transit(from, to, params, at)
+	n.ctlShards[to%len(n.ctlShards)].push(c)
+}
+
+// transit draws the sender's delay for one send from → to at time at,
+// clamped to the link's legal window [Delay−Uncertainty, Delay], and
+// returns the delivery deadline and the certified minimum transit.
+func (n *Network) transit(from, to int, p topo.LinkParams, at sim.Time) (deadline sim.Time, minTransit float64) {
+	minTransit = p.Delay - p.Uncertainty
+	delay := n.policy.Draw(&n.streams[from], from, to, p)
 	if delay < minTransit {
 		delay = minTransit
 	}
-	if delay > params.Delay {
-		delay = params.Delay
+	if delay > p.Delay {
+		delay = p.Delay
 	}
-	c := control{
-		from:       int32(from),
-		to:         int32(to),
-		seq:        n.ctlSeq[from],
-		sentAt:     at,
-		deadline:   at + delay,
-		minTransit: minTransit,
-		payload:    payload,
-	}
-	n.ctlSeq[from]++
-	n.ctlShards[to%len(n.ctlShards)].push(c)
+	return at + delay, minTransit
 }
 
 // BroadcastBeacon sends the beacon to every neighbor currently visible to
@@ -372,33 +463,17 @@ func (n *Network) BroadcastBeaconAt(from int, b Beacon, scratch []int, at sim.Ti
 
 // Peek implements sim.Source: the earliest pending delivery deadline of the
 // shard, or +Inf when none.
-func (n *Network) Peek(shard int) sim.Time {
-	sh := &n.shards[shard]
-	if len(sh.heap) == 0 {
-		return math.Inf(1)
-	}
-	return sh.msgs[sh.heap[0]].deadline
-}
+func (n *Network) Peek(shard int) sim.Time { return n.shards[shard].peek() }
 
 // FireNext implements sim.Source: deliver the shard's earliest beacon. The
 // receiver is owned by this shard, so the handler chain (estimate samples,
 // the algorithm's per-receiver register) writes only shard-owned state.
 func (n *Network) FireNext(shard int, now sim.Time) {
 	sh := &n.shards[shard]
-	slot := sh.heap[0]
-	m := &sh.msgs[slot]
-	// Copy out before releasing: the handler may send, reusing the record.
+	m := sh.root()
 	from, to := int(m.from), int(m.to)
-	b := m.beacon
-	d := Delivery{
-		From:       from,
-		To:         to,
-		SentAt:     m.sentAt,
-		At:         now,
-		MinTransit: m.minTransit,
-	}
-	sh.popRoot()
-	sh.release(slot)
+	b, d := m.payload, m.delivery(now)
+	sh.pop()
 	if n.handler == nil || !n.dyn.Sees(to, from) {
 		sh.dropped++
 		return
@@ -422,42 +497,24 @@ func (n *Network) Flush(shard int) {
 }
 
 // controlQueue is the Network's serial-source face for control deliveries:
-// the same receiver-sharded pooled-heap shape as beacons, but registered
-// with sim.Engine.AddSerialSource so every control fires one at a time in a
+// the same receiver-sharded pooled queue as beacons, but registered with
+// sim.Engine.AddSerialSource so every control fires one at a time in a
 // serial context (handlers schedule global retry timers).
 type controlQueue Network
 
 // Peek implements sim.Source: the earliest pending control deadline of the
 // shard, or +Inf when none.
-func (q *controlQueue) Peek(shard int) sim.Time {
-	sh := &q.ctlShards[shard]
-	if len(sh.heap) == 0 {
-		return math.Inf(1)
-	}
-	return sh.ctls[sh.heap[0]].deadline
-}
+func (q *controlQueue) Peek(shard int) sim.Time { return q.ctlShards[shard].peek() }
 
 // FireNext implements sim.Source: deliver the shard's earliest control.
 // Always invoked on the engine's serial path.
 func (q *controlQueue) FireNext(shard int, now sim.Time) {
 	n := (*Network)(q)
 	sh := &q.ctlShards[shard]
-	slot := sh.heap[0]
-	c := &sh.ctls[slot]
+	c := sh.root()
 	from, to := int(c.from), int(c.to)
-	payload := c.payload
-	d := Delivery{
-		From:       from,
-		To:         to,
-		SentAt:     c.sentAt,
-		At:         now,
-		MinTransit: c.minTransit,
-	}
-	// Release before handling: dropping the payload reference frees boxed
-	// controls, and the handler may send again, reusing the slot.
-	c.payload = nil
-	sh.popRoot()
-	sh.release(slot)
+	payload, d := c.payload, c.delivery(now)
+	sh.pop()
 	if n.handler == nil || !n.dyn.Sees(to, from) {
 		n.shards[to%len(n.shards)].dropped++
 		return
@@ -468,188 +525,3 @@ func (q *controlQueue) FireNext(shard int, now sim.Time) {
 // Flush implements sim.Source: controls are never staged (SendControl panics
 // inside windows), so there is nothing to fold.
 func (q *controlQueue) Flush(int) {}
-
-// push inserts a message into the shard's pooled deadline queue.
-func (sh *netShard) push(m message) {
-	slot := sh.alloc()
-	sh.msgs[slot] = m
-	sh.heap = append(sh.heap, slot)
-	sh.siftUp(len(sh.heap) - 1)
-}
-
-// alloc takes a message slot from the free list, growing the slab only when
-// the pool is dry.
-func (sh *netShard) alloc() int32 {
-	if l := len(sh.free); l > 0 {
-		slot := sh.free[l-1]
-		sh.free = sh.free[:l-1]
-		return slot
-	}
-	sh.msgs = append(sh.msgs, message{})
-	return int32(len(sh.msgs) - 1)
-}
-
-// release recycles a slot.
-func (sh *netShard) release(slot int32) {
-	sh.free = append(sh.free, slot)
-}
-
-// less orders slots by the content key (deadline, to, from, sender-seq):
-// a total order over distinct messages that depends only on the messages
-// themselves, so delivery order is identical at every shard count. Among
-// same-pair ties the sender-seq keeps FIFO send order.
-func (sh *netShard) less(a, b int32) bool {
-	ma, mb := &sh.msgs[a], &sh.msgs[b]
-	if ma.deadline != mb.deadline {
-		return ma.deadline < mb.deadline
-	}
-	if ma.to != mb.to {
-		return ma.to < mb.to
-	}
-	if ma.from != mb.from {
-		return ma.from < mb.from
-	}
-	return ma.seq < mb.seq
-}
-
-func (sh *netShard) siftUp(i int) {
-	h := sh.heap
-	slot := h[i]
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !sh.less(slot, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = slot
-}
-
-func (sh *netShard) siftDown(i int) {
-	h := sh.heap
-	l := len(h)
-	slot := h[i]
-	for {
-		c := i<<2 + 1
-		if c >= l {
-			break
-		}
-		best := c
-		end := c + 4
-		if end > l {
-			end = l
-		}
-		for j := c + 1; j < end; j++ {
-			if sh.less(h[j], h[best]) {
-				best = j
-			}
-		}
-		if !sh.less(h[best], slot) {
-			break
-		}
-		h[i] = h[best]
-		i = best
-	}
-	h[i] = slot
-}
-
-// popRoot removes the earliest entry from the heap.
-func (sh *netShard) popRoot() {
-	l := len(sh.heap) - 1
-	sh.heap[0] = sh.heap[l]
-	sh.heap = sh.heap[:l]
-	if l > 0 {
-		sh.siftDown(0)
-	}
-}
-
-// push inserts a control into the shard's pooled deadline queue.
-func (sh *ctlShard) push(c control) {
-	slot := sh.alloc()
-	sh.ctls[slot] = c
-	sh.heap = append(sh.heap, slot)
-	sh.siftUp(len(sh.heap) - 1)
-}
-
-func (sh *ctlShard) alloc() int32 {
-	if l := len(sh.free); l > 0 {
-		slot := sh.free[l-1]
-		sh.free = sh.free[:l-1]
-		return slot
-	}
-	sh.ctls = append(sh.ctls, control{})
-	return int32(len(sh.ctls) - 1)
-}
-
-func (sh *ctlShard) release(slot int32) {
-	sh.free = append(sh.free, slot)
-}
-
-// less orders controls by the same content-key shape as beacons:
-// (deadline, to, from, sender-ctl-seq).
-func (sh *ctlShard) less(a, b int32) bool {
-	ca, cb := &sh.ctls[a], &sh.ctls[b]
-	if ca.deadline != cb.deadline {
-		return ca.deadline < cb.deadline
-	}
-	if ca.to != cb.to {
-		return ca.to < cb.to
-	}
-	if ca.from != cb.from {
-		return ca.from < cb.from
-	}
-	return ca.seq < cb.seq
-}
-
-func (sh *ctlShard) siftUp(i int) {
-	h := sh.heap
-	slot := h[i]
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !sh.less(slot, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = slot
-}
-
-func (sh *ctlShard) siftDown(i int) {
-	h := sh.heap
-	l := len(h)
-	slot := h[i]
-	for {
-		c := i<<2 + 1
-		if c >= l {
-			break
-		}
-		best := c
-		end := c + 4
-		if end > l {
-			end = l
-		}
-		for j := c + 1; j < end; j++ {
-			if sh.less(h[j], h[best]) {
-				best = j
-			}
-		}
-		if !sh.less(h[best], slot) {
-			break
-		}
-		h[i] = h[best]
-		i = best
-	}
-	h[i] = slot
-}
-
-// popRoot removes the earliest entry from the heap.
-func (sh *ctlShard) popRoot() {
-	l := len(sh.heap) - 1
-	sh.heap[0] = sh.heap[l]
-	sh.heap = sh.heap[:l]
-	if l > 0 {
-		sh.siftDown(0)
-	}
-}

@@ -197,7 +197,7 @@ func TestMessagePoolRecycles(t *testing.T) {
 		beaconSlab += len(net.shards[s].msgs)
 	}
 	for s := range net.ctlShards {
-		ctlSlab += len(net.ctlShards[s].ctls)
+		ctlSlab += len(net.ctlShards[s].msgs)
 	}
 	if beaconSlab > 8 || ctlSlab > 8 {
 		t.Fatalf("slabs grew to %d beacon / %d control records for ≤2 in-flight messages — pool not recycling",
@@ -213,8 +213,8 @@ func TestMessagePoolRecycles(t *testing.T) {
 	}
 	// Released control records must have dropped their payload references.
 	for s := range net.ctlShards {
-		for slot := range net.ctlShards[s].ctls {
-			if net.ctlShards[s].ctls[slot].payload != nil {
+		for slot := range net.ctlShards[s].msgs {
+			if net.ctlShards[s].msgs[slot].payload != nil {
 				t.Fatalf("free control record %d still holds a payload reference", slot)
 			}
 		}
