@@ -59,8 +59,8 @@ bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 
 # Archives the hot-path and sweep-engine benchmarks as a JSON perf record
-# (the repo's perf trajectory): substrate micro-benchmarks at full
-# precision, the multi-seed sweep engine and the E15 scale tier (the
+# (the repo's perf trajectory): substrate and transport micro-benchmarks at
+# full precision, the multi-seed sweep engine and the E15 scale tier (the
 # 10k-node ring with churn, whose events/sec is the throughput headline)
 # at one pass each, and the gradsyncd query-plane benchmarks (whose qps
 # metric and 0 allocs/op are the serving headline).
@@ -69,6 +69,7 @@ bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngine' -benchmem ./internal/sim >> BENCH_raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkMessagingInvalidate' -benchmem ./internal/estimate >> BENCH_raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolRun' -benchmem ./internal/par >> BENCH_raw.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkQueue|BenchmarkTransportDeliver' -benchmem ./internal/transport >> BENCH_raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulationStep' -benchmem -benchtime=20x . >> BENCH_raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkSweep|BenchmarkRuntime10k' -benchmem -benchtime=1x . >> BENCH_raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkSkewQuery|BenchmarkClockQuery' -benchmem ./cmd/gradsyncd >> BENCH_raw.txt

@@ -7,7 +7,6 @@ package gradsync_test
 // `go test -bench .` on a PR never pays for them.
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -64,8 +63,7 @@ func BenchmarkRuntime100k(b *testing.B) {
 			runtime.GC()
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
-			fmt.Printf("=== mem Runtime100k/%s: N=%d live heap %.1f MiB (%.0f B/node) ===\n",
-				v.name, n, float64(ms.HeapAlloc)/(1<<20), float64(ms.HeapAlloc)/float64(n))
+			b.ReportMetric(float64(ms.HeapAlloc)/float64(n), "B/node")
 			runtime.KeepAlive(net)
 		})
 	}

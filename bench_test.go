@@ -190,15 +190,15 @@ func BenchmarkRuntime10k(b *testing.B) {
 				// serial controls, tick crossing) has a tracked number.
 				b.ReportMetric(st.MeanEventsPerWindow(), "events/window")
 			}
-			// Mem footer in the scale-tier format; benchjson parses these
-			// lines into the mem section of BENCH_sweep.json and -compare
-			// gates bytes/node. Printed directly (not b.Log) so the line
-			// reaches the bench output stream unindented.
+			// Live heap per node after a forced GC with the network still
+			// reachable. A metric column rather than a printed line, so
+			// every -count sample keeps its benchmark name; benchjson files
+			// the column into the mem section of BENCH_sweep.json and
+			// -compare gates it.
 			runtime.GC()
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
-			fmt.Printf("=== mem Runtime10k/%s: N=%d live heap %.1f MiB (%.0f B/node) ===\n",
-				v.name, n, float64(ms.HeapAlloc)/(1<<20), float64(ms.HeapAlloc)/float64(n))
+			b.ReportMetric(float64(ms.HeapAlloc)/float64(n), "B/node")
 			runtime.KeepAlive(net)
 		})
 	}

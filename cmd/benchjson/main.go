@@ -16,12 +16,15 @@
 // shows its per-benchmark delta against the committed baseline without
 // downloading artifacts (the first step toward a perf-trend dashboard).
 //
-// Besides benchmark result lines, the parser captures the `=== mem` live-heap
-// footers the scale-tier benchmarks print (`=== mem Runtime10k/...: N=10000
-// live heap 12.3 MiB (1289 B/node) ===`) into a "mem" section of the record
-// file, and -compare gates bytes/node against the baseline (default 10%):
-// live-heap wall-clock is noisy but per-node retention is not, so the memory
-// diet gets the same CI trend protection as ns/op and allocs/op.
+// Besides the timing columns, the parser files the live-heap bytes per node
+// the Runtime benchmarks report as a `B/node` metric column into a "mem"
+// section of the record file, keyed by the benchmark name without its
+// `Benchmark` prefix, and -compare gates bytes/node against the baseline
+// (default 10%): live-heap wall-clock is noisy but per-node retention is
+// not, so the memory diet gets the same CI trend protection as ns/op and
+// allocs/op. The `=== mem <case>: N=<n> live heap <x> MiB (<y> B/node) ===`
+// footer lines older runs printed still parse into the same section, so
+// archived raw outputs load unchanged.
 //
 // With -trend the command renders a markdown trend table across many record
 // files (oldest → newest) — the nightly workflow feeds it the last ~10
@@ -72,33 +75,35 @@ type Record struct {
 	HasMem bool `json:"has_mem,omitempty"`
 }
 
-// MemRecord is one parsed `=== mem <case>: N=<n> live heap <x> MiB (<y>
-// B/node) ===` footer — the live-heap tracking line the scale tiers and the
-// Runtime benchmarks print after a forced GC with the network still
-// reachable. BytesPerNode is the figure -compare gates.
+// MemRecord is one live-heap measurement taken after a forced GC with the
+// network still reachable: a benchmark's `B/node` column, or a `=== mem
+// <case>: N=<n> live heap <x> MiB (<y> B/node) ===` footer line. Only the
+// footer carries N and the heap total; BytesPerNode is the figure -compare
+// gates.
 type MemRecord struct {
 	Case         string  `json:"case"`
-	N            int64   `json:"n"`
-	LiveHeapMiB  float64 `json:"live_heap_mib"`
+	N            int64   `json:"n,omitempty"`
+	LiveHeapMiB  float64 `json:"live_heap_mib,omitempty"`
 	BytesPerNode float64 `json:"bytes_per_node"`
 }
 
-// Report is the emitted JSON document. Mem is omitted when the run printed
-// no footers, so record files from before the mem section stay loadable and
-// comparable (the mem gate only fires when both sides carry a case).
+// Report is the emitted JSON document. Mem is omitted when the run carried
+// no live-heap figures, so record files from before the mem section stay
+// loadable and comparable (the mem gate only fires when both sides carry a
+// case).
 type Report struct {
 	Benchmarks []Record    `json:"benchmarks"`
 	Mem        []MemRecord `json:"mem,omitempty"`
 }
 
 // benchLine captures the result columns in the order `go test` prints them:
-// extra ReportMetric columns sort alphabetically by unit, so events/sec <
-// events/window < qps, all before the -benchmem pair.
+// extra ReportMetric columns sort by unit in byte order, so B/node <
+// events/sec < events/window < qps, all before the -benchmem pair.
 var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op(?:\s+[\d.]+ MB/s)?(?:\s+([\d.e+]+) events/sec)?(?:\s+([\d.e+]+) events/window)?(?:\s+([\d.e+]+) qps)?(?:\s+([\d.]+) B/op\s+(\d+) allocs/op)?`)
+	`^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op(?:\s+[\d.]+ MB/s)?(?:\s+([\d.e+]+) B/node)?(?:\s+([\d.e+]+) events/sec)?(?:\s+([\d.e+]+) events/window)?(?:\s+([\d.e+]+) qps)?(?:\s+([\d.]+) B/op\s+(\d+) allocs/op)?`)
 
-// memLine matches the shared mem-footer format anywhere in a line (test
-// harnesses may indent or prefix it).
+// memLine matches the mem-footer format older runs printed, anywhere in a
+// line (test harnesses may indent or prefix it).
 var memLine = regexp.MustCompile(
 	`=== mem (.+?): N=(\d+) live heap ([\d.]+) MiB \(([\d.]+) B/node\) ===`)
 
@@ -152,19 +157,29 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "benchjson: wrote %d records (%d mem footers) to %s\n",
+	fmt.Fprintf(stdout, "benchjson: wrote %d records (%d mem cases) to %s\n",
 		len(report.Benchmarks), len(report.Mem), *out)
 	return nil
 }
 
 // parse scans `go test -bench` output, tracking the current package from
-// the "pkg:" header lines the test binary prints per package. Mem footers
-// are collected alongside the benchmark lines; the last footer per case
-// wins (a benchmark printing one per b.N restart overwrites in place).
+// the "pkg:" header lines the test binary prints per package. Every result
+// line is one record, so -count N yields N samples per benchmark. Live-heap
+// figures are collected alongside; the last one per case wins (a benchmark
+// run with -count N, or a footer reprinted per b.N restart, overwrites in
+// place).
 func parse(r io.Reader) (*Report, error) {
 	report := &Report{}
 	pkg := ""
 	memIdx := map[string]int{}
+	addMem := func(mr MemRecord) {
+		if i, ok := memIdx[mr.Case]; ok {
+			report.Mem[i] = mr
+		} else {
+			memIdx[mr.Case] = len(report.Mem)
+			report.Mem = append(report.Mem, mr)
+		}
+	}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
@@ -184,12 +199,7 @@ func parse(r io.Reader) (*Report, error) {
 			if mr.BytesPerNode, err = strconv.ParseFloat(m[4], 64); err != nil {
 				return nil, fmt.Errorf("bad B/node in %q: %w", line, err)
 			}
-			if i, ok := memIdx[mr.Case]; ok {
-				report.Mem[i] = mr
-			} else {
-				memIdx[mr.Case] = len(report.Mem)
-				report.Mem = append(report.Mem, mr)
-			}
+			addMem(mr)
 			continue
 		}
 		m := benchLine.FindStringSubmatch(line)
@@ -211,25 +221,32 @@ func parse(r io.Reader) (*Report, error) {
 			NsPerOp:    ns,
 		}
 		if m[4] != "" {
-			if rec.EventsPerSec, err = strconv.ParseFloat(m[4], 64); err != nil {
+			mr := MemRecord{Case: strings.TrimPrefix(rec.Name, "Benchmark")}
+			if mr.BytesPerNode, err = strconv.ParseFloat(m[4], 64); err != nil {
+				return nil, fmt.Errorf("bad B/node in %q: %w", line, err)
+			}
+			addMem(mr)
+		}
+		if m[5] != "" {
+			if rec.EventsPerSec, err = strconv.ParseFloat(m[5], 64); err != nil {
 				return nil, fmt.Errorf("bad events/sec in %q: %w", line, err)
 			}
 		}
-		if m[5] != "" {
-			if rec.EventsPerWindow, err = strconv.ParseFloat(m[5], 64); err != nil {
+		if m[6] != "" {
+			if rec.EventsPerWindow, err = strconv.ParseFloat(m[6], 64); err != nil {
 				return nil, fmt.Errorf("bad events/window in %q: %w", line, err)
 			}
 		}
-		if m[6] != "" {
-			if rec.QPS, err = strconv.ParseFloat(m[6], 64); err != nil {
+		if m[7] != "" {
+			if rec.QPS, err = strconv.ParseFloat(m[7], 64); err != nil {
 				return nil, fmt.Errorf("bad qps in %q: %w", line, err)
 			}
 		}
-		if m[7] != "" {
-			if rec.BPerOp, err = strconv.ParseFloat(m[7], 64); err != nil {
+		if m[8] != "" {
+			if rec.BPerOp, err = strconv.ParseFloat(m[8], 64); err != nil {
 				return nil, fmt.Errorf("bad B/op in %q: %w", line, err)
 			}
-			if rec.AllocsPerOp, err = strconv.ParseInt(m[8], 10, 64); err != nil {
+			if rec.AllocsPerOp, err = strconv.ParseInt(m[9], 10, 64); err != nil {
 				return nil, fmt.Errorf("bad allocs/op in %q: %w", line, err)
 			}
 			rec.HasMem = true
@@ -481,7 +498,7 @@ func renderMemText(rows []memRow, w io.Writer) {
 	for _, r := range rows {
 		switch r.verdict {
 		case "new":
-			fmt.Fprintf(w, "mem new   %-50s %12.0f B/node (N=%d)\n", r.name, r.newBpn, r.n)
+			fmt.Fprintf(w, "mem new   %-50s %12.0f B/node (N=%s)\n", r.name, r.newBpn, nodes(r.n))
 		case "removed":
 			fmt.Fprintf(w, "mem gone  %-50s\n", r.name)
 		default:
@@ -489,6 +506,15 @@ func renderMemText(rows []memRow, w io.Writer) {
 				r.verdict, r.name, r.oldBpn, r.newBpn, r.deltaPct)
 		}
 	}
+}
+
+// nodes renders a mem case's node count, which only footer-sourced
+// records carry.
+func nodes(n int64) string {
+	if n == 0 {
+		return "—"
+	}
+	return strconv.FormatInt(n, 10)
 }
 
 // renderMemMarkdown emits the live-heap delta table next to the benchmark
@@ -504,7 +530,7 @@ func renderMemMarkdown(rows []memRow, memThreshold float64, w io.Writer) {
 	for _, r := range rows {
 		switch r.verdict {
 		case "new":
-			fmt.Fprintf(w, "| %s | %d | — | %.0f | — | new |\n", r.name, r.n, r.newBpn)
+			fmt.Fprintf(w, "| %s | %s | — | %.0f | — | new |\n", r.name, nodes(r.n), r.newBpn)
 		case "removed":
 			fmt.Fprintf(w, "| %s | — | — | — | — | removed |\n", r.name)
 		default:
@@ -512,8 +538,8 @@ func renderMemMarkdown(rows []memRow, memThreshold float64, w io.Writer) {
 			if r.verdict == "REGRESSED" {
 				verdict = "**REGRESSED**"
 			}
-			fmt.Fprintf(w, "| %s | %d | %.0f | %.0f | %+.1f%% | %s |\n",
-				r.name, r.n, r.oldBpn, r.newBpn, r.deltaPct, verdict)
+			fmt.Fprintf(w, "| %s | %s | %.0f | %.0f | %+.1f%% | %s |\n",
+				r.name, nodes(r.n), r.oldBpn, r.newBpn, r.deltaPct, verdict)
 		}
 	}
 }

@@ -112,6 +112,37 @@ BenchmarkA 	 1	 100 ns/op
 	}
 }
 
+// TestParseRepeatedSamples feeds `-count 3` output of a benchmark that
+// reports bytes per node as a metric column: every sample keeps its
+// benchmark name, and the column lands in the mem section under the
+// footer's case name, so records compare against footer-era baselines.
+func TestParseRepeatedSamples(t *testing.T) {
+	input := `pkg: repro
+BenchmarkRuntime10k/par=1/evpar=1-2         	       1	 137358160 ns/op	       394.4 B/node	    830428 events/sec	 1484528 B/op	      45 allocs/op
+BenchmarkRuntime10k/par=1/evpar=1-2         	       1	 147274840 ns/op	       394.6 B/node	    774511 events/sec	 1484528 B/op	      45 allocs/op
+BenchmarkRuntime10k/par=1/evpar=1-2         	       1	 146567361 ns/op	       394.7 B/node	    778250 events/sec	 1484528 B/op	      45 allocs/op
+PASS
+`
+	report, err := parse(strings.NewReader(input))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Benchmarks) != 3 {
+		t.Fatalf("parsed %d samples, want 3", len(report.Benchmarks))
+	}
+	wantNs := []float64{137358160, 147274840, 146567361}
+	for i, r := range report.Benchmarks {
+		if r.Name != "BenchmarkRuntime10k/par=1/evpar=1" || r.NsPerOp != wantNs[i] ||
+			r.EventsPerSec == 0 || r.AllocsPerOp != 45 || !r.HasMem {
+			t.Errorf("sample %d = %+v", i, r)
+		}
+	}
+	want := []MemRecord{{Case: "Runtime10k/par=1/evpar=1", BytesPerNode: 394.7}}
+	if len(report.Mem) != 1 || report.Mem[0] != want[0] {
+		t.Errorf("mem = %+v, want %+v (one case, the last sample's figure)", report.Mem, want)
+	}
+}
+
 // writeMemReport drops a record file that carries both a benchmark (so the
 // matched>0 guard passes) and mem footers.
 func writeMemReport(t *testing.T, dir, name string, mems ...MemRecord) string {

@@ -35,10 +35,12 @@ func cmpDelivered(a, b delivered) int {
 
 // orderCapture records deliveries per receiver (each receiver is owned by
 // one drain shard, so per-receiver appends are race-free at any shard
-// count) and, when global is set, in one global list.
+// count), every control in one list (controls always fire serially) and,
+// when global is set, every delivery in one global list.
 type orderCapture struct {
 	global  bool
 	all     []delivered
+	ctl     []delivered
 	perRecv [][]delivered
 	t       *testing.T
 	links   map[topo.EdgeID]topo.LinkParams
@@ -60,7 +62,9 @@ func (c *orderCapture) OnBeacon(to, from int, b Beacon, d Delivery) {
 }
 
 func (c *orderCapture) OnControl(to, from int, payload any, d Delivery) {
-	c.record(delivered{at: d.At, class: 1, to: to, from: from, seq: payload.(uint32)}, d)
+	r := delivered{at: d.At, class: 1, to: to, from: from, seq: payload.(uint32)}
+	c.record(r, d)
+	c.ctl = append(c.ctl, r)
 }
 
 // runOrderTraffic sends random mixed beacon and control traffic over an
@@ -123,12 +127,12 @@ func runOrderTraffic(t *testing.T, k int, seed int64) (*orderCapture, int) {
 // classes against a sort by the content key. At event parallelism 1 the
 // whole delivery sequence must already be sorted by (deadline, class, to,
 // from, seq) and contain every send exactly once. At parallelism 4 there is
-// no such global order: beacons of different shards drain concurrently,
-// beacons inside a window may pass a pending control, and the engine breaks
-// a deadline tie between shards by shard index, so equal-deadline controls
-// to receivers on different shards fire in shard order. The comparison is
-// therefore per receiver and class: each of those sequences must equal the
-// serial run's, deadlines included.
+// no such global order for beacons: beacons of different shards drain
+// concurrently, and beacons inside a window may pass a pending control. So
+// beacons are compared per receiver: each receiver's sequence must equal
+// the serial run's, deadlines included. Controls share one queue and fire
+// serially, so their whole sequence must equal the serial run's, ties
+// between receivers on different shards included.
 func TestDeliveryOrderProperty(t *testing.T) {
 	type key struct{ to, class int }
 	for seed := int64(0); seed < 8; seed++ {
@@ -176,6 +180,9 @@ func TestDeliveryOrderProperty(t *testing.T) {
 			if !slices.Equal(got[k], w) {
 				t.Fatalf("seed %d: receiver %d class %d: parallelism 4 delivered\n%v\nserial\n%v", seed, k.to, k.class, got[k], w)
 			}
+		}
+		if !slices.Equal(par.ctl, serial.ctl) {
+			t.Fatalf("seed %d: parallelism 4 fired controls\n%v\nserial\n%v", seed, par.ctl, serial.ctl)
 		}
 	}
 }

@@ -192,12 +192,9 @@ func TestMessagePoolRecycles(t *testing.T) {
 		net.SendBeacon(1, 0, Beacon{L: float64(round)})
 		eng.RunUntil(eng.Now() + 1)
 	}
-	beaconSlab, ctlSlab := 0, 0
+	beaconSlab, ctlSlab := 0, len(net.ctl.msgs)
 	for s := range net.shards {
 		beaconSlab += len(net.shards[s].msgs)
-	}
-	for s := range net.ctlShards {
-		ctlSlab += len(net.ctlShards[s].msgs)
 	}
 	if beaconSlab > 8 || ctlSlab > 8 {
 		t.Fatalf("slabs grew to %d beacon / %d control records for ≤2 in-flight messages — pool not recycling",
@@ -212,11 +209,9 @@ func TestMessagePoolRecycles(t *testing.T) {
 		}
 	}
 	// Released control records must have dropped their payload references.
-	for s := range net.ctlShards {
-		for slot := range net.ctlShards[s].msgs {
-			if net.ctlShards[s].msgs[slot].payload != nil {
-				t.Fatalf("free control record %d still holds a payload reference", slot)
-			}
+	for slot := range net.ctl.msgs {
+		if net.ctl.msgs[slot].payload != nil {
+			t.Fatalf("free control record %d still holds a payload reference", slot)
 		}
 	}
 }
