@@ -40,6 +40,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -275,6 +276,45 @@ func loadReport(path string) (*Report, error) {
 // benchKey identifies a benchmark across record files.
 type benchKey struct{ pkg, name string }
 
+// fold collapses a record file's samples — `-count N` writes N records per
+// benchmark — into one record per (pkg, name), in first-appearance order.
+// Each column is the median of its samples (the mean of the middle two for
+// an even count; allocs/op rounds that up), and HasMem holds only when
+// every sample carried -benchmem data.
+func fold(recs []Record) []Record {
+	var out []Record
+	groups := make(map[benchKey][]Record)
+	for _, r := range recs {
+		k := benchKey{r.Pkg, r.Name}
+		if groups[k] == nil {
+			out = append(out, r)
+		}
+		groups[k] = append(groups[k], r)
+	}
+	for i := range out {
+		m := &out[i]
+		g := groups[benchKey{m.Pkg, m.Name}]
+		median := func(col func(Record) float64) float64 {
+			xs := make([]float64, len(g))
+			for j, r := range g {
+				xs[j] = col(r)
+			}
+			sort.Float64s(xs)
+			return (xs[(len(xs)-1)/2] + xs[len(xs)/2]) / 2
+		}
+		m.NsPerOp = median(func(r Record) float64 { return r.NsPerOp })
+		m.EventsPerSec = median(func(r Record) float64 { return r.EventsPerSec })
+		m.EventsPerWindow = median(func(r Record) float64 { return r.EventsPerWindow })
+		m.QPS = median(func(r Record) float64 { return r.QPS })
+		m.BPerOp = median(func(r Record) float64 { return r.BPerOp })
+		m.AllocsPerOp = int64(math.Ceil(median(func(r Record) float64 { return float64(r.AllocsPerOp) })))
+		for _, r := range g {
+			m.HasMem = m.HasMem && r.HasMem
+		}
+	}
+	return out
+}
+
 // deltaRow is one comparison outcome, rendered as text or markdown.
 type deltaRow struct {
 	name           string
@@ -299,8 +339,10 @@ type memRow struct {
 }
 
 // compareFiles diffs two record files and fails on regressions: a benchmark
-// present in both whose ns/op grew by more than threshold percent, or —
-// when both records carry -benchmem data — whose allocs/op grew at all.
+// present in both whose median ns/op grew by more than threshold percent,
+// or — when both records carry -benchmem data — whose median allocs/op grew
+// at all. Each side's samples are folded per (pkg, name) first (fold), so a
+// `-count N` record compares as N-sample medians, not sample by sample.
 // Allocation counts are deterministic, so the alloc gate is exact: it is
 // what keeps the pinned-alloc-free hot paths (core step, invalidation,
 // churn transitions) from silently regaining a per-op allocation. New and
@@ -321,15 +363,16 @@ func compareFiles(oldPath, newPath string, threshold, memThreshold float64, mark
 	if err != nil {
 		return err
 	}
-	old := make(map[benchKey]Record, len(oldRep.Benchmarks))
-	for _, r := range oldRep.Benchmarks {
+	oldRecs := fold(oldRep.Benchmarks)
+	old := make(map[benchKey]Record, len(oldRecs))
+	for _, r := range oldRecs {
 		old[benchKey{r.Pkg, r.Name}] = r
 	}
 
 	var rows []deltaRow
 	var regressions []string
 	matched := 0
-	for _, r := range newRep.Benchmarks {
+	for _, r := range fold(newRep.Benchmarks) {
 		prev, ok := old[benchKey{r.Pkg, r.Name}]
 		if !ok {
 			rows = append(rows, deltaRow{name: r.Name, verdict: "new", newNs: r.NsPerOp, newEv: r.EventsPerSec, newQPS: r.QPS})
@@ -569,7 +612,7 @@ func trendFiles(paths []string, stdout io.Writer) error {
 			bench: make(map[benchKey]Record, len(rep.Benchmarks)),
 			mem:   make(map[string]MemRecord, len(rep.Mem)),
 		}
-		for _, r := range rep.Benchmarks {
+		for _, r := range fold(rep.Benchmarks) {
 			rr.bench[benchKey{r.Pkg, r.Name}] = r
 		}
 		for _, m := range rep.Mem {
@@ -595,7 +638,7 @@ func trendFiles(paths []string, stdout io.Writer) error {
 	}
 
 	header(fmt.Sprintf("ns/op trend across %d runs (oldest → newest)", len(runs)), "benchmark")
-	for _, r := range newest.Benchmarks {
+	for _, r := range fold(newest.Benchmarks) {
 		fmt.Fprintf(stdout, "| %s |", r.Name)
 		for _, rr := range runs {
 			if rec, ok := rr.bench[benchKey{r.Pkg, r.Name}]; ok {

@@ -418,3 +418,55 @@ func TestCompareDisjointFilesError(t *testing.T) {
 		t.Fatal("-compare with one file must error")
 	}
 }
+
+// TestCompareFoldsRepeatedSamples compares a `-count 3` record against
+// itself: the samples of each benchmark fold into one median row, so every
+// row is "ok" at +0.0% and none is reported as new.
+func TestCompareFoldsRepeatedSamples(t *testing.T) {
+	dir := t.TempDir()
+	var recs []Record
+	for _, ns := range []float64{100, 300, 110} {
+		recs = append(recs,
+			Record{Pkg: "p", Name: "BenchmarkA", NsPerOp: ns, HasMem: true},
+			Record{Pkg: "q", Name: "BenchmarkA", NsPerOp: 2 * ns, AllocsPerOp: 3, HasMem: true})
+	}
+	x := writeReport(t, dir, "x.json", recs...)
+	var stdout bytes.Buffer
+	if err := run([]string{"-compare", x, x}, strings.NewReader(""), &stdout); err != nil {
+		t.Fatalf("self-compare failed: %v\n%s", err, stdout.String())
+	}
+	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
+	rows := lines[:len(lines)-1]
+	if len(rows) != 2 {
+		t.Fatalf("got %d rows, want one per (pkg, name):\n%s", len(rows), stdout.String())
+	}
+	for _, row := range rows {
+		if !strings.HasPrefix(row, "ok ") || !strings.Contains(row, "+0.0%") {
+			t.Errorf("row %q, want ok at +0.0%%", row)
+		}
+	}
+	if !strings.Contains(rows[0], "110.0 → 110.0") {
+		t.Errorf("row %q does not compare the median 110 ns/op", rows[0])
+	}
+}
+
+// TestCompareAllocGateUsesMedian gates allocs/op on the folded median: one
+// outlier sample does not fail the compare, a higher median does.
+func TestCompareAllocGateUsesMedian(t *testing.T) {
+	dir := t.TempDir()
+	samples := func(name string, allocs ...int64) string {
+		var recs []Record
+		for _, a := range allocs {
+			recs = append(recs, Record{Pkg: "p", Name: "BenchmarkA", NsPerOp: 100, AllocsPerOp: a, HasMem: true})
+		}
+		return writeReport(t, dir, name, recs...)
+	}
+	old := samples("old.json", 1, 1, 5)
+	if err := run([]string{"-compare", old, samples("outlier.json", 1, 4, 1)}, strings.NewReader(""), &bytes.Buffer{}); err != nil {
+		t.Errorf("an outlier sample at the same median failed the compare: %v", err)
+	}
+	var stdout bytes.Buffer
+	if err := run([]string{"-compare", old, samples("worse.json", 2, 1, 2)}, strings.NewReader(""), &stdout); err == nil {
+		t.Errorf("median 1 → 2 allocs/op passed the compare:\n%s", stdout.String())
+	}
+}

@@ -5,9 +5,10 @@ import (
 	"math"
 
 	"repro/internal/analysis"
-	"repro/internal/csr"
+	"repro/internal/estimate"
 	"repro/internal/runner"
 	"repro/internal/sim"
+	"repro/internal/topo"
 	"repro/internal/transport"
 )
 
@@ -29,12 +30,10 @@ type Algorithm struct {
 	mult []float64 // current rate multiplier (1 or 1+µ)
 
 	// Per-directed-edge records in the structure-of-arrays layout (soa.go):
-	// rows maps (node, peer) → slot into the parallel rec slabs, already
-	// sorted by peer, and the per-edge constants are interned in classes.
-	rows      *csr.Rows
+	// the parallel rec slabs are indexed by topo's directed-edge handle,
+	// and the per-edge constants are interned in classes.
 	classes   []edgeClass
 	classIdx  map[edgeClass]int32
-	recPeer   []int32
 	recClass  []int32
 	recFlags  []uint8
 	recSince  []float64 // upSince
@@ -132,8 +131,11 @@ func (a *Algorithm) Init(rt *runner.Runtime) {
 	for i := range a.mult {
 		a.mult[i] = 1
 	}
-	a.rows = csr.NewRows(a.n)
 	a.classIdx = make(map[edgeClass]int32)
+	for _, id := range rt.Dyn.DeclaredEdges(nil) {
+		a.register(id.U, id.V)
+	}
+	rt.Dyn.OnDeclare(a.register)
 	a.shardCtr = make([]modeCounters, rt.TickShards())
 	a.evCtr = make([]modeCounters, rt.Engine.EventShards())
 	a.decideFn = a.decideShard
@@ -200,64 +202,66 @@ func (a *Algorithm) handshakeDelta(delay, tau float64) float64 {
 
 // OnEdgeUp implements runner.Algorithm; it is Listing 1's discovery path.
 func (a *Algorithm) OnEdgeUp(self, peer int, t sim.Time) {
-	slot, ok := a.ensureSlot(self, peer)
+	h, ok := a.ensureRec(self, peer)
 	if !ok {
 		return
 	}
-	a.recFlags[slot] |= recUp
-	a.recSince[slot] = t
-	a.recLAtUp[slot] = a.l[self]
+	a.recFlags[h] |= recUp
+	a.recSince[h] = t
+	a.recLAtUp[h] = a.l[self]
 	if t == 0 {
 		// Paper convention: edges present at time 0 populate all neighbor
 		// sets immediately (N^s_u(0) = N_u(0) for all s).
-		a.recFlags[slot] |= recPreInserted
-		a.recFlags[slot] &^= recHaveTimes
+		a.recFlags[h] |= recPreInserted
+		a.recFlags[h] &^= recHaveTimes
 		return
 	}
 	if self < peer { // leader of the edge
-		a.scheduleLeaderCheck(self, slot, t)
+		a.scheduleLeaderCheck(self, h, t)
 	}
 }
 
 // OnEdgeDown implements runner.Algorithm: the node removes the peer from all
 // neighbor sets and forgets the insertion times (T_s := ⊥, Listing 1).
 func (a *Algorithm) OnEdgeDown(self, peer int, _ sim.Time) {
-	slot, ok := a.rows.Find(self, int32(peer))
+	h, ok := a.rec(self, peer)
 	if !ok {
 		return
 	}
-	a.recFlags[slot] &^= recUp | recPreInserted | recHaveTimes | recDecaying
-	a.rt.Engine.Cancel(a.recCheck[slot]) // stale or zero handles are safe no-ops
-	a.recCheck[slot] = 0
+	a.recFlags[h] &^= recUp | recPreInserted | recHaveTimes | recDecaying
+	a.rt.Engine.Cancel(a.recCheck[h]) // stale or zero handles are safe no-ops
+	a.recCheck[h] = 0
 }
 
 // scheduleLeaderCheck waits at least Δ and until the edge has been visible
 // for a logical duration of (1+ρ)(1+µ)Δ, then agrees insertion times with
 // the peer (Listing 1 lines 4–10). The attempt closure captures
-// (self, slot): slots are stable for the record's lifetime.
-func (a *Algorithm) scheduleLeaderCheck(self int, slot int32, discovered sim.Time) {
-	cls := &a.classes[a.recClass[slot]]
+// (self, h): handles are stable while the link stays declared, and the
+// declare-time reset cancels a check still pending on a reused handle.
+func (a *Algorithm) scheduleLeaderCheck(self int, h int32, discovered sim.Time) {
+	cls := &a.classes[a.recClass[h]]
 	delta := a.handshakeDelta(cls.delay, cls.tau)
 	needLogical := (1 + a.p.Rho) * (1 + a.p.Mu) * delta
 	var attempt func(t sim.Time)
 	attempt = func(t sim.Time) {
-		a.recCheck[slot] = 0
-		if a.recFlags[slot]&recUp == 0 || a.recSince[slot] != discovered {
+		a.recCheck[h] = 0
+		if a.recFlags[h]&recUp == 0 || a.recSince[h] != discovered {
 			a.HandshakeAborts++
 			return
 		}
-		if gap := needLogical - (a.l[self] - a.recLAtUp[slot]); gap > 0 {
+		if gap := needLogical - (a.l[self] - a.recLAtUp[h]); gap > 0 {
 			// Logical window not yet covered; retry once it surely is
 			// (logical clocks advance at rate ≥ 1−ρ).
-			a.recCheck[slot] = a.rt.Engine.After(gap/(1-a.p.Rho)+a.rt.Tick(), attempt)
+			a.recCheck[h] = a.rt.Engine.After(gap/(1-a.p.Rho)+a.rt.Tick(), attempt)
 			return
 		}
 		g := a.gTilde(self, t)
-		lIns := a.l[self] + g + (1+a.p.Rho)*(1+a.p.Mu)*a.classes[a.recClass[slot]].delay
-		a.rt.Net.SendControl(self, int(a.recPeer[slot]), insertEdgeMsg{LIns: lIns, GTilde: g})
-		a.computeInsertionTimes(slot, lIns, g)
+		lIns := a.l[self] + g + (1+a.p.Rho)*(1+a.p.Mu)*a.classes[a.recClass[h]].delay
+		peer, _, _ := a.rt.Dyn.LinkAt(h)
+		a.rt.Net.SendControl(self, peer, insertEdgeMsg{LIns: lIns, GTilde: g})
+		a.computeInsertionTimes(h, lIns, g)
 	}
-	a.recCheck[slot] = a.rt.Engine.After(delta, attempt)
+	a.recCheck[h] = a.rt.Engine.After(delta, attempt)
 }
 
 // OnControl implements runner.Algorithm; handles insertedge messages
@@ -267,46 +271,46 @@ func (a *Algorithm) OnControl(to, from int, payload any, d transport.Delivery) {
 	if !ok {
 		return
 	}
-	slot, ok := a.rows.Find(to, int32(from))
-	if !ok || a.recFlags[slot]&recUp == 0 {
+	h, ok := a.rec(to, from)
+	if !ok || a.recFlags[h]&recUp == 0 {
 		a.HandshakeAborts++
 		return
 	}
-	cls := &a.classes[a.recClass[slot]]
-	discovered := a.recSince[slot]
+	cls := &a.classes[a.recClass[h]]
+	discovered := a.recSince[h]
 	minWait := cls.delay + cls.tau
 	maxWait := a.handshakeDelta(cls.delay, cls.tau) - cls.tau
 	needLogical := (1 + a.p.Rho) * (1 + a.p.Mu) * minWait
 	received := d.At
 	var attempt func(t sim.Time)
 	attempt = func(t sim.Time) {
-		a.recCheck[slot] = 0
-		if a.recFlags[slot]&recUp == 0 || a.recSince[slot] != discovered {
+		a.recCheck[h] = 0
+		if a.recFlags[h]&recUp == 0 || a.recSince[h] != discovered {
 			a.HandshakeAborts++
 			return
 		}
-		if a.l[to]-a.recLAtUp[slot] >= needLogical {
-			a.computeInsertionTimes(slot, msg.LIns, msg.GTilde)
+		if a.l[to]-a.recLAtUp[h] >= needLogical {
+			a.computeInsertionTimes(h, msg.LIns, msg.GTilde)
 			return
 		}
 		if t-received < maxWait {
-			a.recCheck[slot] = a.rt.Engine.After(a.rt.Tick(), attempt)
+			a.recCheck[h] = a.rt.Engine.After(a.rt.Tick(), attempt)
 			return
 		}
 		a.HandshakeAborts++
 	}
-	a.recCheck[slot] = a.rt.Engine.After(minWait, attempt)
+	a.recCheck[h] = a.rt.Engine.After(minWait, attempt)
 }
 
 // computeInsertionTimes is Listing 2 (or, for InsertDecaying, the start of
 // the §5.5 weight-decay schedule).
-func (a *Algorithm) computeInsertionTimes(slot int32, lIns, g float64) {
-	cls := &a.classes[a.recClass[slot]]
+func (a *Algorithm) computeInsertionTimes(h int32, lIns, g float64) {
+	cls := &a.classes[a.recClass[h]]
 	if a.p.Insertion == InsertDecaying {
-		a.recT0[slot] = lIns
-		a.recInsDur[slot] = 0
-		a.recKappa0[slot] = g + 4*cls.kappa
-		a.recFlags[slot] |= recDecaying | recHaveTimes
+		a.recT0[h] = lIns
+		a.recInsDur[h] = 0
+		a.recKappa0[h] = g + 4*cls.kappa
+		a.recFlags[h] |= recDecaying | recHaveTimes
 		a.Insertions++
 		return
 	}
@@ -314,39 +318,39 @@ func (a *Algorithm) computeInsertionTimes(slot int32, lIns, g float64) {
 	switch a.p.Insertion {
 	case InsertDynamic:
 		insDur = analysis.InsertionDurationDynamic(g, a.p.Mu, a.p.Rho, a.p.B, cls.delay, cls.tau)
-		a.recFlags[slot] |= recDynamicGrid
+		a.recFlags[h] |= recDynamicGrid
 	case InsertCustom:
 		insDur = a.p.InsertionFactor * g / a.p.Mu
-		a.recFlags[slot] &^= recDynamicGrid
+		a.recFlags[h] &^= recDynamicGrid
 	default:
 		insDur = analysis.InsertionDurationStatic(g, a.p.Mu, a.p.Rho)
-		a.recFlags[slot] &^= recDynamicGrid
+		a.recFlags[h] &^= recDynamicGrid
 	}
-	a.recT0[slot] = analysis.InsertionBase(lIns, insDur)
-	a.recInsDur[slot] = insDur
-	a.recFlags[slot] |= recHaveTimes
+	a.recT0[h] = analysis.InsertionBase(lIns, insDur)
+	a.recInsDur[h] = insDur
+	a.recFlags[h] |= recHaveTimes
 	a.Insertions++
 }
 
 // EdgeLevel exposes the level of edge {u,v} as seen by u (for metrics and
 // legality snapshots). Zero when the edge is down or not yet inserted.
 func (a *Algorithm) EdgeLevel(u, v int) int {
-	slot, ok := a.rows.Find(u, int32(v))
+	h, ok := a.rec(u, v)
 	if !ok {
 		return 0
 	}
-	return a.level(u, slot)
+	return a.level(u, h)
 }
 
 // EdgeKappa returns the current weight κ of edge {u,v} as seen by u (0 if
 // unknown). During a decaying-weight insertion this is the inflated,
 // shrinking weight; otherwise the static κ_e.
 func (a *Algorithm) EdgeKappa(u, v int) float64 {
-	slot, ok := a.rows.Find(u, int32(v))
+	h, ok := a.rec(u, v)
 	if !ok {
 		return 0
 	}
-	return a.kappaAt(slot, a.classes[a.recClass[slot]].kappa, a.l[u])
+	return a.kappaAt(h, a.classes[a.recClass[h]].kappa, a.l[u])
 }
 
 // OnBeacon implements runner.Algorithm: max-estimate flooding. The receiver
@@ -526,22 +530,34 @@ func (a *Algorithm) modeFor(u int, fast, slow bool, c *modeCounters) float64 {
 func (a *Algorithm) evalTriggers(u int, c *modeCounters) (fast, slow bool) {
 	lu := a.l[u]
 	var fw, fb, sw, sb int // prefix maxima: fast/slow × witness/blocked
-	peers, slots := a.rows.Row(u)
+	// Query by handle when the current layer can (estimate.EdgeLayer),
+	// else by peer id: resolved per fold, so a layer swapped into rt.Est
+	// after Start is always the one asked.
+	layer := a.rt.Est
+	el, _ := layer.(estimate.EdgeLayer)
+	peers, slots := a.rt.Dyn.Row(u)
 	for i, slot := range slots {
-		if a.recFlags[slot]&recUp == 0 {
+		h := topo.Handle(u, peers[i], slot)
+		if a.recFlags[h]&recUp == 0 {
 			continue
 		}
-		lvl := a.level(u, slot)
+		lvl := a.level(u, h)
 		if lvl < 1 {
 			continue
 		}
-		est, ok := a.rt.Est.Estimate(u, int(peers[i]))
+		var est float64
+		var ok bool
+		if el != nil {
+			est, ok = el.EstimateEdge(u, h)
+		} else {
+			est, ok = layer.Estimate(u, int(peers[i]))
+		}
 		if !ok {
 			c.missing++
 			continue
 		}
-		cls := &a.classes[a.recClass[slot]]
-		kappa := a.kappaAt(slot, cls.kappa, lu)
+		cls := &a.classes[a.recClass[h]]
+		kappa := a.kappaAt(h, cls.kappa, lu)
 		delta := a.deltaAt(cls, kappa)
 		top := lvl
 		if top > a.sMax {

@@ -372,8 +372,8 @@ func diffLayouts(soa *Algorithm, shadow *mapLayout, dyn *topo.Dynamic) string {
 				return fmt.Sprintf("record (%d,%d): soa %+v/%v, map %+v/%v", u, v, rs, oks, rr, okr)
 			}
 			if oks {
-				slot, _ := soa.rows.Find(u, int32(v))
-				if gs, gr := soa.recFlags[slot]&recDynamicGrid != 0, shadow.edges[u][v].dynamicGrid; gs != gr {
+				h, _ := soa.rec(u, v)
+				if gs, gr := soa.recFlags[h]&recDynamicGrid != 0, shadow.edges[u][v].dynamicGrid; gs != gr {
 					return fmt.Sprintf("record (%d,%d): dynamic grid %v vs %v", u, v, gs, gr)
 				}
 			}

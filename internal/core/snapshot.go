@@ -42,10 +42,10 @@ type NeighborLevel struct {
 // dst in ascending peer order and returns the slice. With a reused scratch
 // buffer it is allocation-free (pinned by BenchmarkNeighborLevels).
 func (a *Algorithm) AppendNeighborLevels(u int, dst []NeighborLevel) []NeighborLevel {
-	peers, slots := a.rows.Row(u)
+	peers, slots := a.rt.Dyn.Row(u)
 	for i, slot := range slots {
-		if a.recFlags[slot]&recUp != 0 {
-			dst = append(dst, NeighborLevel{Peer: int(peers[i]), Level: a.level(u, slot)})
+		if h := topo.Handle(u, peers[i], slot); a.recFlags[h]&recUp != 0 {
+			dst = append(dst, NeighborLevel{Peer: int(peers[i]), Level: a.level(u, h)})
 		}
 	}
 	return dst

@@ -1,28 +1,33 @@
 package core
 
 // The structure-of-arrays edge-record layout (DESIGN.md §Structure-of-arrays
-// layout). Every directed edge record is one int32 slot into parallel slabs:
-// the mutable per-record floats (upSince, lAtUp, T₀, I, κ₀), one flags byte,
-// the pending handshake handle, and an index into an interned class table
+// layout). Every directed edge record lives at the topology's directed-edge
+// handle h = 2·slot + side (topo.Dynamic.Link) in parallel slabs: the
+// mutable per-record floats (upSince, lAtUp, T₀, I, κ₀), one flags byte, the
+// pending handshake handle, and an index into an interned class table
 // holding the five derived constants (ε, τ, T, κ, δ) — which are shared by
 // every edge with the same link parameters, so a ring with uniform links
-// stores them once instead of 40 bytes per record. rows maps (node, peer) →
-// slot with peers pre-sorted, so the per-tick trigger fold streams contiguous
-// slabs in ascending peer order (the estimate layer's RNG draw order).
+// stores them once instead of 40 bytes per record. Core keeps no adjacency
+// of its own: the per-tick trigger fold walks topo's sorted row
+// (topo.Dynamic.Row), so it visits records in ascending peer order (the
+// estimate layer's RNG draw order) and hands each handle to the estimate
+// layer unchanged.
 //
-// Record slots are append-only: records persist across edge-down (the
-// paper's T_s := ⊥ is a flags clear, not a removal), so no free list is
-// needed here — topo owns undeclare-level lifecycle. The retired
-// map-of-pointers layout survives as the test-only shadow in
-// layout_shadow_test.go; the full-run differential there pins this layout to
-// it byte for byte.
+// Lifecycle: records persist across edge-down (the paper's T_s := ⊥ is a
+// flags clear, not a removal), and a record exists (recExists) from its
+// directed edge's first edge-up, which derives its class. topo reuses a
+// freed slot for the next declared link, so a Dynamic.OnDeclare hook
+// (register) sizes the slabs and resets a new link's two records; nothing
+// else grows or clears them. The retired map-of-pointers layout survives as
+// the test-only shadow in layout_shadow_test.go; the full-run differential
+// there pins this layout to it byte for byte.
 //
 // Concurrency: the decide phase runs evalTriggers concurrently for distinct
 // nodes. Rows and slabs are only read there, except the recFlags
-// decay-expiry clear in kappaAt — a single-byte write to a slot owned by
+// decay-expiry clear in kappaAt — a single-byte write to a record owned by
 // the evaluating node (distinct bytes are distinct memory locations in the
-// Go memory model, so adjacent slots on one word do not race). Structural
-// growth (ensureSlot) happens only in edge-up events, which are serial.
+// Go memory model, so adjacent records on one word do not race). Slab growth
+// and resets happen only on declares and edge-up events, which are serial.
 
 import (
 	"repro/internal/analysis"
@@ -31,7 +36,8 @@ import (
 
 // recFlags bits.
 const (
-	recUp uint8 = 1 << iota
+	recExists uint8 = 1 << iota // record created (first edge-up seen)
+	recUp
 	recPreInserted
 	recHaveTimes
 	recDecaying
@@ -48,16 +54,36 @@ type edgeClass struct {
 	delta float64 // slow-trigger slack δ_e
 }
 
-// ensureSlot creates (or finds) u's record slot for edge {u,v}, deriving
-// the per-edge constants from the link parameters and estimate layer.
-// Returns ok=false when the link is undeclared.
-func (a *Algorithm) ensureSlot(u, v int) (int32, bool) {
-	if slot, ok := a.rows.Find(u, int32(v)); ok {
-		return slot, true
+// register sizes the slabs for a newly declared link and resets its two
+// records: the handle may be a freed link's, and a new link has no record
+// until its first edge-up.
+func (a *Algorithm) register(u, v int) {
+	h, _, _, _ := a.rt.Dyn.Link(u, v)
+	h &^= 1
+	if grow := int(h) + 2 - len(a.recFlags); grow > 0 {
+		a.recClass = append(a.recClass, make([]int32, grow)...)
+		a.recFlags = append(a.recFlags, make([]uint8, grow)...)
+		a.recSince = append(a.recSince, make([]float64, grow)...)
+		a.recLAtUp = append(a.recLAtUp, make([]float64, grow)...)
+		a.recT0 = append(a.recT0, make([]float64, grow)...)
+		a.recInsDur = append(a.recInsDur, make([]float64, grow)...)
+		a.recKappa0 = append(a.recKappa0, make([]float64, grow)...)
+		a.recCheck = append(a.recCheck, make([]sim.Handle, grow)...)
 	}
-	lp, ok := a.rt.Dyn.Params(u, v)
-	if !ok {
-		return 0, false
+	for _, r := range [2]int32{h, h | 1} {
+		a.rt.Engine.Cancel(a.recCheck[r]) // stale or zero handles are safe no-ops
+		a.recClass[r], a.recFlags[r], a.recCheck[r] = 0, 0, 0
+		a.recSince[r], a.recLAtUp[r], a.recT0[r], a.recInsDur[r], a.recKappa0[r] = 0, 0, 0, 0, 0
+	}
+}
+
+// ensureRec returns u's record handle for edge {u,v}, creating the record
+// on first use by deriving the per-edge constants from the link parameters
+// and estimate layer. Returns ok=false when the link is undeclared.
+func (a *Algorithm) ensureRec(u, v int) (int32, bool) {
+	h, lp, _, ok := a.rt.Dyn.Link(u, v)
+	if !ok || a.recFlags[h]&recExists != 0 {
+		return h, ok
 	}
 	eps := a.rt.Est.Eps(u, v)
 	kappa := analysis.Kappa(eps, lp.Tau, a.p.Mu, a.p.KappaFactor)
@@ -75,38 +101,36 @@ func (a *Algorithm) ensureSlot(u, v int) (int32, bool) {
 		a.classes = append(a.classes, cls)
 		a.classIdx[cls] = ci
 	}
-	slot := int32(len(a.recClass))
-	a.recPeer = append(a.recPeer, int32(v))
-	a.recClass = append(a.recClass, ci)
-	a.recFlags = append(a.recFlags, 0)
-	a.recSince = append(a.recSince, 0)
-	a.recLAtUp = append(a.recLAtUp, 0)
-	a.recT0 = append(a.recT0, 0)
-	a.recInsDur = append(a.recInsDur, 0)
-	a.recKappa0 = append(a.recKappa0, 0)
-	a.recCheck = append(a.recCheck, 0)
-	a.rows.Insert(u, int32(v), slot)
+	a.recClass[h] = ci
+	a.recFlags[h] = recExists
 	if kappa < a.minKappa {
 		a.minKappa = kappa
 		a.refreshSMax()
 	}
-	return slot, true
+	return h, true
 }
 
-// kappaAt returns the weight of a slot's edge at local logical time l: the
+// rec returns u's existing record handle for edge {u,v}: ok is false when
+// the link is undeclared or u has never seen it up.
+func (a *Algorithm) rec(u, v int) (int32, bool) {
+	h, _, _, ok := a.rt.Dyn.Link(u, v)
+	return h, ok && a.recFlags[h]&recExists != 0
+}
+
+// kappaAt returns the weight of a record's edge at local logical time l: the
 // static class weight kappa (passed in because every caller already has the
 // class), or the decaying weight during a §5.5-style insertion.
-func (a *Algorithm) kappaAt(slot int32, kappa, l float64) float64 {
-	if a.recFlags[slot]&recDecaying == 0 {
+func (a *Algorithm) kappaAt(h int32, kappa, l float64) float64 {
+	if a.recFlags[h]&recDecaying == 0 {
 		return kappa
 	}
-	if l <= a.recT0[slot] {
-		return a.recKappa0[slot]
+	if l <= a.recT0[h] {
+		return a.recKappa0[h]
 	}
-	k := a.recKappa0[slot] - (l-a.recT0[slot])*a.p.DecayRate*a.p.Mu
+	k := a.recKappa0[h] - (l-a.recT0[h])*a.p.DecayRate*a.p.Mu
 	if k <= kappa {
 		// Decay finished: the edge behaves like a fully inserted one.
-		a.recFlags[slot] &^= recDecaying
+		a.recFlags[h] &^= recDecaying
 		return kappa
 	}
 	return k
@@ -121,10 +145,10 @@ func (a *Algorithm) deltaAt(cls *edgeClass, kappa float64) float64 {
 	return a.deltaFraction * hi
 }
 
-// level returns the highest s such that the slot's peer is in N^s_self, per
+// level returns the highest s such that the record's peer is in N^s_self, per
 // the implicit representation of Section 4.3.2.
-func (a *Algorithm) level(self int, slot int32) int {
-	flags := a.recFlags[slot]
+func (a *Algorithm) level(self int, h int32) int {
+	flags := a.recFlags[h]
 	switch {
 	case flags&recUp == 0:
 		return 0
@@ -132,17 +156,17 @@ func (a *Algorithm) level(self int, slot int32) int {
 		return analysis.InfLevel
 	case flags&recHaveTimes == 0:
 		return 0
-	case flags&recDecaying != 0 || a.p.Insertion == InsertDecaying && a.recInsDur[slot] == 0:
+	case flags&recDecaying != 0 || a.p.Insertion == InsertDecaying && a.recInsDur[h] == 0:
 		// §5.5 strategy: in all neighbor sets as soon as the agreed logical
 		// start time is reached; safety comes from the inflated weight.
-		if a.l[self] >= a.recT0[slot] {
+		if a.l[self] >= a.recT0[h] {
 			return analysis.InfLevel
 		}
 		return 0
 	case flags&recDynamicGrid != 0:
-		return analysis.LevelAtDynamic(a.l[self], a.recT0[slot], a.recInsDur[slot])
+		return analysis.LevelAtDynamic(a.l[self], a.recT0[h], a.recInsDur[h])
 	default:
-		return analysis.LevelAt(a.l[self], a.recT0[slot], a.recInsDur[slot])
+		return analysis.LevelAt(a.l[self], a.recT0[h], a.recInsDur[h])
 	}
 }
 
@@ -157,18 +181,18 @@ type recState struct {
 
 // recView returns the record state of edge {u,v} as seen by u.
 func (a *Algorithm) recView(u, v int) (recState, bool) {
-	slot, ok := a.rows.Find(u, int32(v))
+	h, ok := a.rec(u, v)
 	if !ok {
 		return recState{}, false
 	}
-	flags := a.recFlags[slot]
-	cls := a.classes[a.recClass[slot]]
+	flags := a.recFlags[h]
+	cls := a.classes[a.recClass[h]]
 	return recState{
 		up: flags&recUp != 0, preInserted: flags&recPreInserted != 0,
 		haveTimes: flags&recHaveTimes != 0, decaying: flags&recDecaying != 0,
-		upSince: a.recSince[slot],
-		t0:      a.recT0[slot], insDur: a.recInsDur[slot],
-		kappa: cls.kappa, kappa0: a.recKappa0[slot],
+		upSince: a.recSince[h],
+		t0:      a.recT0[h], insDur: a.recInsDur[h],
+		kappa: cls.kappa, kappa0: a.recKappa0[h],
 		eps: cls.eps, tau: cls.tau, delay: cls.delay, delta: cls.delta,
 	}, true
 }

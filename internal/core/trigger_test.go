@@ -137,22 +137,31 @@ func (r *refTriggers) CanStepNodes() bool { return false }
 func (r *refTriggers) evalTriggersRef(u int, c *modeCounters) (fast, slow bool) {
 	a := r.Algorithm
 	r.ref.reset()
-	peers, slots := a.rows.Row(u)
+	layer := a.rt.Est
+	el, _ := layer.(estimate.EdgeLayer)
+	peers, slots := a.rt.Dyn.Row(u)
 	for i, slot := range slots {
-		if a.recFlags[slot]&recUp == 0 {
+		h := topo.Handle(u, peers[i], slot)
+		if a.recFlags[h]&recUp == 0 {
 			continue
 		}
-		lvl := a.level(u, slot)
+		lvl := a.level(u, h)
 		if lvl < 1 {
 			continue
 		}
-		est, ok := a.rt.Est.Estimate(u, int(peers[i]))
+		var est float64
+		var ok bool
+		if el != nil {
+			est, ok = el.EstimateEdge(u, h)
+		} else {
+			est, ok = layer.Estimate(u, int(peers[i]))
+		}
 		if !ok {
 			c.missing++
 			continue
 		}
-		cls := &a.classes[a.recClass[slot]]
-		kappa := a.kappaAt(slot, cls.kappa, a.l[u])
+		cls := &a.classes[a.recClass[h]]
+		kappa := a.kappaAt(h, cls.kappa, a.l[u])
 		r.ref.add(edgeEval{
 			level: lvl, est: est,
 			kappa: kappa, delta: a.deltaAt(cls, kappa),

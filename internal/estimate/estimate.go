@@ -50,6 +50,18 @@ type NodeLocalLayer interface {
 	NodeLocalQueries() bool
 }
 
+// EdgeLayer is the opt-in handle-keyed query: EstimateEdge(u, h) returns
+// exactly what Estimate(u, v) would, where h is u's topology directed-edge
+// handle for the declared link {u, v} (topo.Dynamic.Link, topo.Handle). A
+// caller that already walks u's topology row (the algorithm's trigger fold)
+// then skips the layer's own adjacency probe. Callers must fall back to
+// Estimate for a layer without it — a decorator that wraps a layer with
+// only the Layer methods still sees every query that way — so the
+// interface is resolved from the current layer value at each use.
+type EdgeLayer interface {
+	EstimateEdge(u int, h int32) (value float64, ok bool)
+}
+
 // ErrorPolicy chooses the oracle's estimate error within [−ε, +ε]. It plays
 // the role of the estimate-layer adversary.
 type ErrorPolicy interface {
@@ -183,6 +195,8 @@ func (Amplify) Err(_, _ int, trueU, trueV, eps float64) float64 {
 // ConcurrentErrs implements ConcurrentPolicy (stateless).
 func (Amplify) ConcurrentErrs() bool { return true }
 
+var _, _ EdgeLayer = (*Oracle)(nil), (*Messaging)(nil)
+
 // Oracle is the abstract-model estimate layer.
 type Oracle struct {
 	dyn    *topo.Dynamic
@@ -199,9 +213,19 @@ func NewOracle(dyn *topo.Dynamic, clock func(int) float64, policy ErrorPolicy) *
 	return &Oracle{dyn: dyn, clock: clock, policy: policy}
 }
 
-// Estimate implements Layer.
+// Estimate implements Layer: one probe of u's row resolves the handle.
 func (o *Oracle) Estimate(u, v int) (float64, bool) {
-	_, p, sees, _ := o.dyn.Link(u, v)
+	h, _, _, ok := o.dyn.Link(u, v)
+	if !ok {
+		return 0, false
+	}
+	return o.EstimateEdge(u, h)
+}
+
+// EstimateEdge implements EdgeLayer: peer, parameters and visibility come
+// straight from the topology slabs by handle.
+func (o *Oracle) EstimateEdge(u int, h int32) (float64, bool) {
+	v, p, sees := o.dyn.LinkAt(h)
 	if !sees {
 		return 0, false
 	}

@@ -131,9 +131,19 @@ func advanceSample(cfg MessagingConfig, lSent, minTransit, ageHW float64) float6
 	return lSent + (1-rho)*credit + (1-rho)/(1+rho)*ageHW
 }
 
-// Estimate implements Layer.
+// Estimate implements Layer: one probe of u's row resolves the handle.
 func (m *Messaging) Estimate(u, v int) (float64, bool) {
-	h, p, sees, _ := m.dyn.Link(u, v)
+	h, _, _, ok := m.dyn.Link(u, v)
+	if !ok {
+		return 0, false
+	}
+	return m.EstimateEdge(u, h)
+}
+
+// EstimateEdge implements EdgeLayer: the handle indexes the sample slab
+// directly, and the topology slabs give its parameters and visibility.
+func (m *Messaging) EstimateEdge(u int, h int32) (float64, bool) {
+	_, p, sees := m.dyn.LinkAt(h)
 	if !sees {
 		return 0, false
 	}

@@ -104,6 +104,9 @@ const (
 // remaining keyed lookup — Declare and the scenario edge toggles — goes
 // through one compact packed-EdgeID → slot map off the hot path. Hot reads
 // (Link, Sees, Params, Neighbors, AgeBoth) scan one contiguous sorted row.
+// It is the only adjacency in the stack: the algorithm's edge records and
+// the Messaging sample store are flat slabs indexed by the directed-edge
+// handle, walked through Row and read back through LinkAt.
 // The retired map-of-pointers layout survives only as the test-only shadow
 // refDynamic (layout_test.go); TestLayoutDifferentialChurn and FuzzTopoChurn
 // pin every observable of this layout to it.
@@ -122,9 +125,9 @@ type Dynamic struct {
 	kShards int
 	inMin   []float64
 	// onDeclare hooks run after each newly declared link (never for
-	// re-declares); the Messaging estimate layer uses them to size and reset
-	// its per-handle sample records so beacon ingestion stays structurally
-	// read-only.
+	// re-declares); the algorithm's edge records and the Messaging sample
+	// store use them to size their per-handle slabs and reset a reused
+	// handle's records, so the hot paths stay structurally read-only.
 	onDeclare []func(a, b int)
 
 	// Structure-of-arrays layout.
@@ -288,6 +291,32 @@ func (d *Dynamic) Link(u, v int) (h int32, p *LinkParams, sees, ok bool) {
 	}
 	s := sideOf(u, v)
 	return slot<<1 | int32(s), &d.classes[d.eClass[slot]], d.eUp[slot]&(upU<<s) != 0, true
+}
+
+// Row returns u's declared adjacency in ascending peer order: link
+// {u, peers[i]} occupies slab slot slots[i], and Handle(u, peers[i],
+// slots[i]) is u's directed-edge handle for it. The slices are read-only
+// views into the packed rows, valid until the next declare or undeclare;
+// per-tick loops walk them instead of probing Link once per peer.
+func (d *Dynamic) Row(u int) (peers, slots []int32) { return d.adj.Row(u) }
+
+// Handle returns u's directed-edge handle 2·slot + side for the link
+// {u, peer} stored at slab slot slot (side 1 iff u is the larger endpoint),
+// the same value Link(u, peer) reports.
+func Handle(u int, peer, slot int32) int32 {
+	return slot<<1 | int32(uint32(peer-int32(u))>>31)
+}
+
+// LinkAt resolves a directed-edge handle h of a declared link without a
+// row probe: the peer on the far side, the link parameters (read-only) and
+// whether the handle's owner currently sees the peer.
+func (d *Dynamic) LinkAt(h int32) (peer int, p *LinkParams, sees bool) {
+	slot, side := h>>1, h&1
+	peer = int(d.eV[slot])
+	if side == 1 {
+		peer = int(d.eU[slot])
+	}
+	return peer, &d.classes[d.eClass[slot]], d.eUp[slot]&(upU<<side) != 0
 }
 
 // Appear makes edge {a,b} appear now. Each endpoint observes the appearance
